@@ -410,19 +410,20 @@ func BenchmarkFFTPoissonSolve(b *testing.B) {
 }
 
 // BenchmarkFFTSerial3D times one serial 3D transform of the wavefunction
-// box through the plan-owned workspace path.
+// box through the slab passes (RawSlabWS) with a caller-owned workspace,
+// alternating forward and inverse from a fixed source.
 func BenchmarkFFTSerial3D(b *testing.B) {
 	g, psi, _ := fixture(b)
-	buf := make([]complex128, g.NTot)
-	g.ToRealSerial(buf, psi[:g.NG])
+	src, dst := lanes.New(g.NTot), lanes.New(g.NTot)
 	ws := g.Plan.NewWorkspace()
+	g.ToRealSlabWS(src, psi[:g.NG], ws)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Plan.ApplySerialWS(buf, buf, i%2 == 0, ws)
+		g.Plan.RawSlabWS(dst, src, i%2 == 0, ws)
 	}
 	b.StopTimer()
-	allocs := testing.AllocsPerRun(1, func() { g.Plan.ApplySerialWS(buf, buf, false, ws) })
+	allocs := testing.AllocsPerRun(1, func() { g.Plan.RawSlabWS(dst, src, false, ws) })
 	recordBench(b, g, 1, allocs)
 }
 

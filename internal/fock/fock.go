@@ -40,7 +40,7 @@ import (
 )
 
 // Operator applies the screened Fock exchange for a fixed reference
-// orbital set. Safe for concurrent Apply/ApplyReal/Energy calls once
+// orbital set. Safe for concurrent Apply/ApplySlab/Energy calls once
 // built: scratch is checked out of internal pools, never shared.
 type Operator struct {
 	g      *grid.Grid
@@ -64,10 +64,10 @@ type Operator struct {
 	pairs  [][2]int
 	rounds [][][2]int
 
-	// Workspace recycling: ws feeds both single-shot callers (ApplyReal)
-	// and the band-parallel entry points; accPool recycles the symmetric
-	// path's nb x NTot SoA accumulator, so concurrent calls stay correct
-	// (a second caller simply builds a transient slab).
+	// Workspace recycling: ws feeds the band-parallel entry points;
+	// accPool recycles the symmetric path's nb x NTot SoA accumulator, so
+	// concurrent calls stay correct (a second caller simply builds a
+	// transient slab).
 	ws      parallel.ScratchPool[*Workspace]
 	accPool parallel.ScratchPool[*lanes.Slab]
 
@@ -262,50 +262,24 @@ func (op *Operator) IsReference(src []complex128, nb int) bool {
 	return true
 }
 
-// ApplyReal accumulates (V_X psi)(r) into dstReal for a wavefunction given
-// in real space on the wavefunction box. Both buffers have length NTot.
-// This is the per-band inner loop of Alg. 2 (lines 6-10): nb Poisson
-// solves, each a fused forward FFT, kernel multiply, and inverse FFT.
-func (op *Operator) ApplyReal(dstReal, srcReal []complex128) {
-	ntot := op.g.NTot
-	if len(dstReal) != ntot || len(srcReal) != ntot {
-		panic("fock: ApplyReal buffer size mismatch")
-	}
-	// Interleaved shim over the SoA core: pack once, contract nb bands in
-	// slab layout, accumulate back - two extra box passes amortized over
-	// nb Poisson solves.
-	ws := op.ws.Get()
-	lanes.Pack(ws.src, srcReal)
-	ws.acc.Zero()
-	op.applyRealWS(ws.acc, ws.src, ws)
-	lanes.UnpackAdd(dstReal, ws.acc)
-	op.ws.Put(ws)
-}
-
-// applyRealWS folds every reference band into the SoA accumulator dst
-// using the caller's workspace (pair slab + FFT scratch).
-func (op *Operator) applyRealWS(dst, src lanes.Slab, ws *Workspace) {
+// ApplySlab accumulates (V_X psi)(r) into dst for a wavefunction given in
+// real space on the wavefunction box, both NTot grid slabs. This is the
+// per-band inner loop of Alg. 2 (lines 6-10): nb Poisson solves, each a
+// fused forward FFT, kernel multiply, inverse FFT and accumulation. pair
+// is NTot scratch and fws the caller's FFT scratch (one per worker).
+func (op *Operator) ApplySlab(dst, src, pair lanes.Slab, fws *fourier.Workspace3) {
 	ntot := op.g.NTot
 	for i := 0; i < op.nb; i++ {
-		op.g.Plan.ContractSlabWS(dst, op.phiReal.Row(i, ntot), src, ws.pair, op.kernel, -op.alpha, ws.fft)
+		op.g.Plan.ContractSlabWS(dst, op.phiReal.Row(i, ntot), src, pair, op.kernel, -op.alpha, fws)
 	}
 }
 
-// ContractReference accumulates the exchange contribution of one reference
-// orbital into dstReal for a wavefunction, all in real space on the
-// wavefunction box: dstReal += -alpha * phi * Poisson[phi^* src]. pair is a
-// caller-provided NTot scratch buffer. This is the shared (i, j) inner step
-// of Alg. 2; the serial Operator and the distributed exchange of
-// internal/dist both fold bands through it.
-func ContractReference(g *grid.Grid, kernel []float64, alpha float64, phiReal, srcReal, dstReal, pair []complex128) {
-	ws := g.Plan.CheckoutWorkspace()
-	g.Plan.ContractSerialWS(dstReal, phiReal, srcReal, pair, kernel, complex(-alpha, 0), ws)
-	g.Plan.ReturnWorkspace(ws)
-}
-
-// ContractReferenceWS is the SoA ContractReference with caller-owned FFT
-// scratch, for loops that bind one workspace per worker: all four buffers
-// are lane-blocked slabs, so the distributed exchange strategies chain
+// ContractReferenceWS accumulates the exchange contribution of one
+// reference orbital into dstReal for a wavefunction, all in real space on
+// the wavefunction box: dstReal += -alpha * phi * Poisson[phi^* src]. pair
+// is NTot scratch and fws the caller's FFT scratch. This is the shared
+// (i, j) inner step of Alg. 2 the distributed exchange strategies fold
+// bands through; all four buffers are slabs, so the strategies chain
 // contractions without re-interleaving between stages.
 func ContractReferenceWS(g *grid.Grid, kernel []float64, alpha float64, phiReal, srcReal, dstReal, pair lanes.Slab, fws *fourier.Workspace3) {
 	g.Plan.ContractSlabWS(dstReal, phiReal, srcReal, pair, kernel, -alpha, fws)
@@ -358,7 +332,7 @@ func (op *Operator) applyBand(dst, src []complex128, j int, ws *Workspace) {
 	ng := op.g.NG
 	op.g.ToRealSlabWS(ws.src, src[j*ng:(j+1)*ng], ws.fft)
 	ws.acc.Zero()
-	op.applyRealWS(ws.acc, ws.src, ws)
+	op.ApplySlab(ws.acc, ws.src, ws.pair, ws.fft)
 	op.g.FromRealSlabWS(ws.sph, ws.acc, ws.fft)
 	d := dst[j*ng : (j+1)*ng]
 	for s := range d {
@@ -458,7 +432,7 @@ func (op *Operator) Energy(psi []complex128, nbands int) float64 {
 		ws := wss[w]
 		op.g.ToRealSlabWS(ws.src, psi[j*ng:(j+1)*ng], ws.fft)
 		ws.acc.Zero()
-		op.applyRealWS(ws.acc, ws.src, ws)
+		op.ApplySlab(ws.acc, ws.src, ws.pair, ws.fft)
 		eband[j] = lanes.DotRe(ws.src, ws.acc)
 	})
 	op.ws.Release(wss)

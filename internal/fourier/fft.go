@@ -1,26 +1,30 @@
-// Package fourier implements complex discrete Fourier transforms used by the
+// Package fourier implements the complex discrete Fourier transforms of the
 // plane-wave machinery: mixed-radix Cooley-Tukey for sizes whose prime
 // factors are at most 61 and a Bluestein chirp-z fallback for everything
-// else, plus 3D plans that parallelize over grid pencils. It is the CUFFT
-// stand-in of the reproduction: the Fock exchange operator performs all of
-// its N^2 Poisson-like solves through these plans.
+// else. There is one transform engine. Every 1D transform runs over a lane
+// block of lanes.Width pencils (fftlanes.go), and every 3D grid transform
+// is a sequence of lane-blocked axis passes over a lanes.Slab (slab.go):
+// the raw transform, the fused Poisson round trip and the fused exchange
+// contractions. It is the CUFFT stand-in of the reproduction: the Fock
+// exchange operator performs all of its N^2 Poisson-like solves, and the
+// density and potentials all of their grid transforms, through these
+// passes.
 //
-// Conventions: Forward computes X[k] = sum_j x[j] exp(-2*pi*i*j*k/N) with no
-// normalization; Inverse carries the 1/N factor so Inverse(Forward(x)) == x.
+// Conventions: the forward transform computes X[k] = sum_j x[j]
+// exp(-2*pi*i*j*k/N); the inverse uses exp(+2*pi*i*j*k/N). Both are
+// unnormalized - callers fold the 1/N into their own pointwise scaling.
 //
-// Memory discipline: all per-transform scratch lives in plan-owned
-// Workspace objects. NewPlan precomputes every twiddle table the butterfly
-// passes read (one dense table per recursion level, so the hot loops index
-// sequentially with no modular arithmetic), and callers either hold an
-// explicit Workspace or draw one from the plan's sync.Pool - either way the
-// steady-state transform performs zero heap allocations.
+// Memory discipline: all per-transform scratch lives in Workspace3 objects
+// that callers hold (one per worker) or draw from the plan's pool. NewPlan
+// precomputes every twiddle table the butterfly passes read (one dense
+// table per recursion level, so the hot loops index sequentially with no
+// modular arithmetic); the steady-state transform performs zero heap
+// allocations.
 package fourier
 
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
-	"sync"
 
 	"ptdft/internal/lanes"
 )
@@ -31,56 +35,44 @@ import (
 const maxDirectRadix = 61
 
 // stage holds the precomputed combine tables for one level of the
-// decimation-in-time recursion: a length-n_l twiddle table indexed q*m+k
-// (replacing the (q*k*step) mod N lookups of a table-free implementation)
-// and the order-r roots of unity for the cross-output butterfly.
+// decimation-in-time recursion, in split re/im form (one scalar load per
+// lane group): a length-n_l twiddle table indexed q*m+k (replacing the
+// (q*k*step) mod N lookups of a table-free implementation) and the order-r
+// roots of unity for the cross-output butterfly. F tables are the forward
+// sign, I tables the inverse.
 type stage struct {
-	r, m     int
-	twF, twI []complex128 // tw[q*m+k] = exp(∓2*pi*i*q*k*step/N), len r*m
-	rootF    []complex128 // rootF[q] = exp(-2*pi*i*q/r), len r
-	rootI    []complex128
-	// Split re/im copies of the same tables for the lane-blocked SoA
-	// butterflies (internal/lanes layout): one scalar load per lane group
-	// instead of a complex128 load per element.
-	twFre, twFim, twIre, twIim         []float64
-	rootFre, rootFim, rootIre, rootIim []float64
+	r, m                               int
+	twFre, twFim, twIre, twIim         []float64 // tw[q*m+k] = exp(∓2*pi*i*q*k*step/N), len r*m
+	rootFre, rootFim, rootIre, rootIim []float64 // root[q] = exp(∓2*pi*i*q/r), len r
 }
 
 // Plan holds precomputed twiddle tables for a 1D transform of fixed length.
 // A Plan is immutable after creation and safe for concurrent use; scratch
-// needed by the Bluestein fallback is checked out of a pool (or passed
-// explicitly as a Workspace), never allocated per call.
+// needed by the Bluestein fallback is passed explicitly as a Workspace.
 type Plan struct {
 	n       int
 	factors []int   // prime factorization of n, ascending (4s merged)
 	stages  []stage // one entry per recursion level, top level first
 	blu     *bluestein
-	pool    sync.Pool // *Workspace
 }
 
-// Workspace is the per-call scratch of one 1D transform. Only plans that
-// fall back to Bluestein need backing storage; mixed-radix plans carry a
-// zero-cost empty workspace. A Workspace must not be shared between
+// Workspace is the per-call scratch of one 1D lane-block transform. Only
+// plans that fall back to Bluestein need backing storage; mixed-radix plans
+// carry a zero-cost empty workspace. A Workspace must not be shared between
 // concurrent transforms.
 type Workspace struct {
-	a, fa   []complex128 // Bluestein convolution buffers, length blu.m
-	la, lfa lanes.Slab   // lane-blocked Bluestein buffers, length blu.m*lanes.Width
+	la, lfa lanes.Slab // Bluestein convolution lane blocks, length blu.m*lanes.Width
 }
 
 // NewWorkspace allocates the scratch one transform of this plan needs.
 func (p *Plan) NewWorkspace() *Workspace {
 	ws := &Workspace{}
 	if p.blu != nil {
-		ws.a = make([]complex128, p.blu.m)
-		ws.fa = make([]complex128, p.blu.m)
 		ws.la = lanes.New(p.blu.m * lanes.Width)
 		ws.lfa = lanes.New(p.blu.m * lanes.Width)
 	}
 	return ws
 }
-
-func (p *Plan) getWS() *Workspace   { return p.pool.Get().(*Workspace) }
-func (p *Plan) putWS(ws *Workspace) { p.pool.Put(ws) }
 
 // NewPlan creates a transform plan for length n >= 1. All setup work -
 // factorization, per-level twiddle tables, Bluestein kernels - happens
@@ -99,13 +91,12 @@ func NewPlan(n int) (*Plan, error) {
 	} else {
 		p.buildStages()
 	}
-	p.pool.New = func() any { return p.NewWorkspace() }
 	return p, nil
 }
 
 // buildStages tabulates the combine twiddles for every recursion level.
 // Level l transforms length n_l = n / prod(r_0..r_{l-1}), splitting off
-// r_l = the largest remaining factor; its table twF[q*m+k] equals the
+// r_l = the largest remaining factor; its table tw[q*m+k] equals the
 // global twiddle exp(-2*pi*i*q*k*step/N) with step = N/n_l.
 func (p *Plan) buildStages() {
 	n := p.n
@@ -115,44 +106,24 @@ func (p *Plan) buildStages() {
 		r := rem[len(rem)-1]
 		rem = rem[:len(rem)-1]
 		m := nl / r
-		st := stage{
-			r: r, m: m,
-			twF:   make([]complex128, nl),
-			twI:   make([]complex128, nl),
-			rootF: make([]complex128, r),
-			rootI: make([]complex128, r),
-		}
+		st := stage{r: r, m: m}
+		st.twFre, st.twFim, st.twIre, st.twIim = make([]float64, nl), make([]float64, nl), make([]float64, nl), make([]float64, nl)
+		st.rootFre, st.rootFim, st.rootIre, st.rootIim = make([]float64, r), make([]float64, r), make([]float64, r), make([]float64, r)
 		step := n / nl
 		for q := 0; q < r; q++ {
 			for k := 0; k < m; k++ {
 				e := (q * k * step) % n
 				s, c := math.Sincos(-2 * math.Pi * float64(e) / float64(n))
-				st.twF[q*m+k] = complex(c, s)
-				st.twI[q*m+k] = complex(c, -s)
+				st.twFre[q*m+k], st.twFim[q*m+k] = c, s
+				st.twIre[q*m+k], st.twIim[q*m+k] = c, -s
 			}
 			s, c := math.Sincos(-2 * math.Pi * float64(q) / float64(r))
-			st.rootF[q] = complex(c, s)
-			st.rootI[q] = complex(c, -s)
+			st.rootFre[q], st.rootFim[q] = c, s
+			st.rootIre[q], st.rootIim[q] = c, -s
 		}
-		st.twFre, st.twFim = splitComplex(st.twF)
-		st.twIre, st.twIim = splitComplex(st.twI)
-		st.rootFre, st.rootFim = splitComplex(st.rootF)
-		st.rootIre, st.rootIim = splitComplex(st.rootI)
 		p.stages = append(p.stages, st)
 		nl = m
 	}
-}
-
-// splitComplex copies a complex table into separate re/im arrays, the
-// uniform-coefficient layout the lane-blocked butterflies read.
-func splitComplex(c []complex128) (re, im []float64) {
-	re = make([]float64, len(c))
-	im = make([]float64, len(c))
-	for i, v := range c {
-		re[i] = real(v)
-		im[i] = imag(v)
-	}
-	return re, im
 }
 
 // MustPlan is NewPlan that panics on error; for use with known-good sizes.
@@ -166,130 +137,6 @@ func MustPlan(n int) *Plan {
 
 // Len reports the transform length.
 func (p *Plan) Len() int { return p.n }
-
-// Forward computes the unnormalized DFT of src into dst.
-// dst and src must have length Len() and must not alias.
-func (p *Plan) Forward(dst, src []complex128) {
-	p.transform(dst, src, false)
-}
-
-// Inverse computes the inverse DFT (including the 1/N factor) of src into
-// dst. dst and src must have length Len() and must not alias.
-func (p *Plan) Inverse(dst, src []complex128) {
-	p.transform(dst, src, true)
-	scale := complex(1/float64(p.n), 0)
-	for i := range dst {
-		dst[i] *= scale
-	}
-}
-
-// transform is TransformWS with pool-backed scratch.
-func (p *Plan) transform(dst, src []complex128, inverse bool) {
-	if p.blu == nil {
-		p.TransformWS(dst, src, inverse, nil)
-		return
-	}
-	ws := p.getWS()
-	p.TransformWS(dst, src, inverse, ws)
-	p.putWS(ws)
-}
-
-// TransformWS runs one unnormalized transform using the caller's
-// workspace. ws may be nil for mixed-radix plans (no scratch needed); plans
-// with a Bluestein fallback require a workspace from NewWorkspace.
-func (p *Plan) TransformWS(dst, src []complex128, inverse bool, ws *Workspace) {
-	if len(dst) != p.n || len(src) != p.n {
-		panic(fmt.Sprintf("fourier: buffer length mismatch: plan %d, dst %d, src %d", p.n, len(dst), len(src)))
-	}
-	if p.n == 1 {
-		dst[0] = src[0]
-		return
-	}
-	if p.blu != nil {
-		if ws == nil || ws.a == nil {
-			ws = p.getWS()
-			p.blu.transform(dst, src, inverse, ws)
-			p.putWS(ws)
-			return
-		}
-		p.blu.transform(dst, src, inverse, ws)
-		return
-	}
-	p.recurse(dst, src, 1, 0, inverse)
-}
-
-// recurse performs the decimation-in-time mixed-radix step at recursion
-// depth d: split into r sub-transforms of length m reading src with stride,
-// then combine in place in dst using the stage's precomputed tables.
-func (p *Plan) recurse(dst, src []complex128, stride, d int, inverse bool) {
-	if d == len(p.stages) {
-		dst[0] = src[0]
-		return
-	}
-	st := &p.stages[d]
-	r, m := st.r, st.m
-	for q := 0; q < r; q++ {
-		p.recurse(dst[q*m:(q+1)*m], src[q*stride:], stride*r, d+1, inverse)
-	}
-	tw, root := st.twF, st.rootF
-	if inverse {
-		tw, root = st.twI, st.rootI
-	}
-	// Combine: X[k + p*m] = sum_q tw[q*m+k] * root[(q*p) mod r] * F_q[k].
-	switch r {
-	case 2:
-		for k := 0; k < m; k++ {
-			a := dst[k]
-			b := dst[m+k] * tw[m+k]
-			dst[k] = a + b
-			dst[m+k] = a - b
-		}
-	case 3:
-		w1, w2 := root[1], root[2]
-		for k := 0; k < m; k++ {
-			a := dst[k]
-			b := dst[m+k] * tw[m+k]
-			c := dst[2*m+k] * tw[2*m+k]
-			dst[k] = a + b + c
-			dst[m+k] = a + b*w1 + c*w2
-			dst[2*m+k] = a + b*w2 + c*w1
-		}
-	case 4:
-		// root[1] is -i forward, +i inverse.
-		j := root[1]
-		for k := 0; k < m; k++ {
-			a := dst[k]
-			b := dst[m+k] * tw[m+k]
-			c := dst[2*m+k] * tw[2*m+k]
-			d := dst[3*m+k] * tw[3*m+k]
-			apc, amc := a+c, a-c
-			bpd, bmd := b+d, (b-d)*j
-			dst[k] = apc + bpd
-			dst[m+k] = amc + bmd
-			dst[2*m+k] = apc - bpd
-			dst[3*m+k] = amc - bmd
-		}
-	default:
-		var t [maxDirectRadix]complex128
-		for k := 0; k < m; k++ {
-			for q := 0; q < r; q++ {
-				t[q] = dst[q*m+k] * tw[q*m+k]
-			}
-			for pp := 0; pp < r; pp++ {
-				acc := t[0]
-				idx := 0
-				for q := 1; q < r; q++ {
-					idx += pp
-					if idx >= r {
-						idx -= r
-					}
-					acc += t[q] * root[idx]
-				}
-				dst[pp*m+k] = acc
-			}
-		}
-	}
-}
 
 // mergeRadix4 rewrites pairs of 2s as radix-4 passes, which have a cheaper
 // butterfly, keeping the list sorted ascending.
@@ -362,22 +209,18 @@ func NextFast(n int) int {
 }
 
 // bluestein implements the chirp-z transform for arbitrary lengths via a
-// power-of-two convolution. Its two convolution buffers live in the
-// caller's Workspace, so repeated transforms allocate nothing.
+// power-of-two convolution. Its two convolution lane blocks live in the
+// caller's Workspace, so repeated transforms allocate nothing. All tables
+// are split re/im: F is the forward sign, I (chirp) and B (kernel) the
+// inverse.
 type bluestein struct {
 	n     int
 	m     int // power-of-two convolution length >= 2n-1
 	inner *Plan
-	// chirpF / chirpI are the pre/post multipliers exp(∓i*pi*j^2/n) for the
-	// forward and inverse transforms.
-	chirpF []complex128
-	chirpI []complex128
-	// kernelF / kernelB are the precomputed forward FFTs of the padded
-	// conjugate-chirp sequences for the forward and inverse transforms.
-	kernelF []complex128
-	kernelB []complex128
-	// Split re/im copies for the lane-blocked path.
-	chirpFre, chirpFim, chirpIre, chirpIim     []float64
+	// chirp is the pre/post multiplier exp(∓i*pi*j^2/n).
+	chirpFre, chirpFim, chirpIre, chirpIim []float64
+	// kernel is the precomputed forward FFT of the padded conjugate-chirp
+	// sequence.
 	kernelFre, kernelFim, kernelBre, kernelBim []float64
 }
 
@@ -391,58 +234,34 @@ func newBluestein(n int) (*bluestein, error) {
 		return nil, err
 	}
 	b := &bluestein{n: n, m: m, inner: inner}
-	b.chirpF = make([]complex128, n)
-	b.chirpI = make([]complex128, n)
+	b.chirpFre, b.chirpFim = make([]float64, n), make([]float64, n)
+	b.chirpIre, b.chirpIim = make([]float64, n), make([]float64, n)
 	for j := 0; j < n; j++ {
 		// j^2 mod 2n keeps the argument bounded for large n.
 		e := float64((j * j) % (2 * n))
-		b.chirpF[j] = cmplx.Exp(complex(0, -math.Pi*e/float64(n)))
-		b.chirpI[j] = cmplx.Conj(b.chirpF[j])
+		s, c := math.Sincos(-math.Pi * e / float64(n))
+		b.chirpFre[j], b.chirpFim[j] = c, s
+		b.chirpIre[j], b.chirpIim[j] = c, -s
 	}
-	mk := func(conjugate bool) []complex128 {
-		seq := make([]complex128, m)
+	// The convolution kernel of a transform is the conjugate of its chirp,
+	// wrapped symmetrically into the length-m buffer and transformed once
+	// through lane 0 of a lane block.
+	mk := func(cre, cim []float64) (re, im []float64) {
+		seq, out := lanes.New(m*lw), lanes.New(m*lw)
 		for j := 0; j < n; j++ {
-			c := b.chirpF[j]
-			if conjugate {
-				c = cmplx.Conj(c)
-			}
-			// The convolution kernel is the conjugate chirp.
-			seq[j] = cmplx.Conj(c)
+			seq.Re[j*lw], seq.Im[j*lw] = cre[j], -cim[j]
 			if j > 0 {
-				seq[m-j] = cmplx.Conj(c)
+				seq.Re[(m-j)*lw], seq.Im[(m-j)*lw] = cre[j], -cim[j]
 			}
 		}
-		out := make([]complex128, m)
-		inner.Forward(out, seq)
-		return out
+		inner.transformLanes(out, seq, false, nil)
+		re, im = make([]float64, m), make([]float64, m)
+		for i := range re {
+			re[i], im[i] = out.Re[i*lw], out.Im[i*lw]
+		}
+		return re, im
 	}
-	b.kernelF = mk(false)
-	b.kernelB = mk(true)
-	b.chirpFre, b.chirpFim = splitComplex(b.chirpF)
-	b.chirpIre, b.chirpIim = splitComplex(b.chirpI)
-	b.kernelFre, b.kernelFim = splitComplex(b.kernelF)
-	b.kernelBre, b.kernelBim = splitComplex(b.kernelB)
+	b.kernelFre, b.kernelFim = mk(b.chirpFre, b.chirpFim)
+	b.kernelBre, b.kernelBim = mk(b.chirpIre, b.chirpIim)
 	return b, nil
-}
-
-func (b *bluestein) transform(dst, src []complex128, inverse bool, ws *Workspace) {
-	chirp, kernel := b.chirpF, b.kernelF
-	if inverse {
-		chirp, kernel = b.chirpI, b.kernelB
-	}
-	a, fa := ws.a, ws.fa
-	for j := 0; j < b.n; j++ {
-		a[j] = src[j] * chirp[j]
-	}
-	for j := b.n; j < b.m; j++ {
-		a[j] = 0
-	}
-	b.inner.Forward(fa, a)
-	for i := range fa {
-		fa[i] *= kernel[i]
-	}
-	b.inner.Inverse(a, fa)
-	for k := 0; k < b.n; k++ {
-		dst[k] = a[k] * chirp[k]
-	}
 }

@@ -7,9 +7,13 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ptdft/internal/lanes"
 )
 
-// naiveDFT is the O(N^2) reference implementation.
+// naiveDFT is the O(N^2) reference implementation. The phase index j*k is
+// reduced mod N before scaling so the sin/cos arguments stay in [0, 2*pi)
+// and the oracle itself is accurate to a few ulps.
 func naiveDFT(x []complex128, inverse bool) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
@@ -20,7 +24,7 @@ func naiveDFT(x []complex128, inverse bool) []complex128 {
 	for k := 0; k < n; k++ {
 		var acc complex128
 		for j := 0; j < n; j++ {
-			acc += x[j] * cmplx.Exp(complex(0, sign*2*math.Pi*float64(j*k)/float64(n)))
+			acc += x[j] * cmplx.Exp(complex(0, sign*2*math.Pi*float64(j*k%n)/float64(n)))
 		}
 		if inverse {
 			acc /= complex(float64(n), 0)
@@ -36,6 +40,39 @@ func randomVec(rng *rand.Rand, n int) []complex128 {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	return x
+}
+
+// oneLane runs the lane-block transform on a single pencil - lane 0 of a
+// block whose other lanes are zero - so the 1D property tests below pin the
+// butterflies every grid transform runs through. The inverse carries the
+// 1/N factor, so inverse(forward(x)) == x.
+func oneLane(p *Plan, dst, src []complex128, inverse bool) {
+	n := p.Len()
+	in, out := lanes.New(n*lw), lanes.New(n*lw)
+	for k, v := range src {
+		in.Re[k*lw], in.Im[k*lw] = real(v), imag(v)
+	}
+	p.transformLanes(out, in, inverse, p.NewWorkspace())
+	scale := 1.0
+	if inverse {
+		scale = 1 / float64(n)
+	}
+	for k := range dst {
+		dst[k] = complex(out.Re[k*lw]*scale, out.Im[k*lw]*scale)
+	}
+}
+
+func forward1(p *Plan, dst, src []complex128) { oneLane(p, dst, src, false) }
+func inverse1(p *Plan, dst, src []complex128) { oneLane(p, dst, src, true) }
+
+// raw3 runs the unnormalized slab transform on an interleaved grid.
+func raw3(p *Plan3, x []complex128, inverse bool) []complex128 {
+	s := lanes.New(len(x))
+	lanes.Pack(s, x)
+	p.RawSlabWS(s, s, inverse, p.NewWorkspace())
+	out := make([]complex128, len(x))
+	lanes.Unpack(out, s)
+	return out
 }
 
 func maxAbsDiff(a, b []complex128) float64 {
@@ -55,7 +92,7 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 		p := MustPlan(n)
 		x := randomVec(rng, n)
 		got := make([]complex128, n)
-		p.Forward(got, x)
+		forward1(p, got, x)
 		want := naiveDFT(x, false)
 		if d := maxAbsDiff(got, want); d > 1e-9*float64(n) {
 			t.Errorf("n=%d: forward max diff %g", n, d)
@@ -69,7 +106,7 @@ func TestInverseMatchesNaiveDFT(t *testing.T) {
 		p := MustPlan(n)
 		x := randomVec(rng, n)
 		got := make([]complex128, n)
-		p.Inverse(got, x)
+		inverse1(p, got, x)
 		want := naiveDFT(x, true)
 		if d := maxAbsDiff(got, want); d > 1e-9*float64(n) {
 			t.Errorf("n=%d: inverse max diff %g", n, d)
@@ -86,8 +123,8 @@ func TestRoundTripProperty(t *testing.T) {
 			x := randomVec(local, n)
 			fx := make([]complex128, n)
 			back := make([]complex128, n)
-			p.Forward(fx, x)
-			p.Inverse(back, fx)
+			forward1(p, fx, x)
+			inverse1(p, back, fx)
 			return maxAbsDiff(back, x) < 1e-9*float64(n)
 		}
 		cfg := &quick.Config{MaxCount: 20, Rand: rng}
@@ -103,7 +140,7 @@ func TestParseval(t *testing.T) {
 		p := MustPlan(n)
 		x := randomVec(rng, n)
 		fx := make([]complex128, n)
-		p.Forward(fx, x)
+		forward1(p, fx, x)
 		var st, sf float64
 		for i := 0; i < n; i++ {
 			st += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
@@ -128,9 +165,9 @@ func TestLinearity(t *testing.T) {
 		z[i] = x[i] + alpha*y[i]
 	}
 	fx, fy, fz := make([]complex128, n), make([]complex128, n), make([]complex128, n)
-	p.Forward(fx, x)
-	p.Forward(fy, y)
-	p.Forward(fz, z)
+	forward1(p, fx, x)
+	forward1(p, fy, y)
+	forward1(p, fz, z)
 	for i := range fz {
 		want := fx[i] + alpha*fy[i]
 		if cmplx.Abs(fz[i]-want) > 1e-9 {
@@ -145,7 +182,7 @@ func TestDeltaTransformsToConstant(t *testing.T) {
 	x := make([]complex128, n)
 	x[0] = 1
 	fx := make([]complex128, n)
-	p.Forward(fx, x)
+	forward1(p, fx, x)
 	for i, v := range fx {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("delta transform not constant at %d: %v", i, v)
@@ -164,8 +201,8 @@ func TestShiftTheorem(t *testing.T) {
 		shifted[i] = x[(i+s)%n]
 	}
 	fx, fs := make([]complex128, n), make([]complex128, n)
-	p.Forward(fx, x)
-	p.Forward(fs, shifted)
+	forward1(p, fx, x)
+	forward1(p, fs, shifted)
 	for k := 0; k < n; k++ {
 		phase := cmplx.Exp(complex(0, 2*math.Pi*float64(k*s)/float64(n)))
 		if cmplx.Abs(fs[k]-fx[k]*phase) > 1e-9 {
@@ -235,39 +272,35 @@ func TestMergeRadix4(t *testing.T) {
 	}
 }
 
+// naiveDFT3 is the independent oracle of every grid transform: the O(N^2)
+// naiveDFT applied along z, y and x in turn. Like the slab passes it is
+// unnormalized in both directions (no 1/N on the inverse).
 func naiveDFT3(x []complex128, nx, ny, nz int, inverse bool) []complex128 {
-	// Transform axis by axis with the 1D reference.
 	out := make([]complex128, len(x))
 	copy(out, x)
-	// z axis
-	for r := 0; r < nx*ny; r++ {
-		copy(out[r*nz:(r+1)*nz], naiveDFT(out[r*nz:(r+1)*nz], inverse))
+	line := func(n, base, stride int) {
+		v := make([]complex128, n)
+		for k := range v {
+			v[k] = out[base+k*stride]
+		}
+		res := naiveDFT(v, inverse)
+		for k, r := range res {
+			if inverse {
+				r *= complex(float64(n), 0)
+			}
+			out[base+k*stride] = r
+		}
 	}
-	// y axis
-	row := make([]complex128, ny)
+	for r := 0; r < nx*ny; r++ {
+		line(nz, r*nz, 1)
+	}
 	for ix := 0; ix < nx; ix++ {
 		for iz := 0; iz < nz; iz++ {
-			for iy := 0; iy < ny; iy++ {
-				row[iy] = out[(ix*ny+iy)*nz+iz]
-			}
-			res := naiveDFT(row, inverse)
-			for iy := 0; iy < ny; iy++ {
-				out[(ix*ny+iy)*nz+iz] = res[iy]
-			}
+			line(ny, ix*ny*nz+iz, nz)
 		}
 	}
-	// x axis
-	col := make([]complex128, nx)
-	for iy := 0; iy < ny; iy++ {
-		for iz := 0; iz < nz; iz++ {
-			for ix := 0; ix < nx; ix++ {
-				col[ix] = out[(ix*ny+iy)*nz+iz]
-			}
-			res := naiveDFT(col, inverse)
-			for ix := 0; ix < nx; ix++ {
-				out[(ix*ny+iy)*nz+iz] = res[ix]
-			}
-		}
+	for r := 0; r < ny*nz; r++ {
+		line(nx, r, ny*nz)
 	}
 	return out
 }
@@ -278,11 +311,13 @@ func TestPlan3MatchesNaive(t *testing.T) {
 	for _, d := range dims {
 		p := MustPlan3(d[0], d[1], d[2])
 		x := randomVec(rng, p.Size())
-		got := make([]complex128, p.Size())
-		p.Forward(got, x)
-		want := naiveDFT3(x, d[0], d[1], d[2], false)
-		if diff := maxAbsDiff(got, want); diff > 1e-8 {
-			t.Errorf("dims %v: 3D forward max diff %g", d, diff)
+		// The inverse is raw: it must equal N times the normalized one.
+		for _, inverse := range []bool{false, true} {
+			got := raw3(p, x, inverse)
+			want := naiveDFT3(x, d[0], d[1], d[2], inverse)
+			if diff := maxAbsDiff(got, want); diff > 1e-8 {
+				t.Errorf("dims %v inverse=%v: 3D transform max diff %g", d, inverse, diff)
+			}
 		}
 	}
 }
@@ -291,10 +326,10 @@ func TestPlan3RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	p := MustPlan3(6, 10, 12)
 	x := randomVec(rng, p.Size())
-	fx := make([]complex128, p.Size())
-	back := make([]complex128, p.Size())
-	p.Forward(fx, x)
-	p.Inverse(back, fx)
+	back := raw3(p, raw3(p, x, false), true)
+	for i := range back {
+		back[i] /= complex(float64(p.Size()), 0)
+	}
 	if d := maxAbsDiff(back, x); d > 1e-9 {
 		t.Errorf("3D round trip max diff %g", d)
 	}
@@ -303,68 +338,36 @@ func TestPlan3RoundTrip(t *testing.T) {
 func TestPlan3InPlaceAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := MustPlan3(4, 6, 5)
-	x := randomVec(rng, p.Size())
-	want := make([]complex128, p.Size())
-	p.Forward(want, x)
-	// In-place: dst aliases src.
-	p.Forward(x, x)
-	if d := maxAbsDiff(x, want); d > 1e-10 {
-		t.Errorf("in-place 3D transform differs from out-of-place by %g", d)
-	}
-}
-
-func TestPlan3Batch(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	p := MustPlan3(4, 5, 6)
-	nb := 7
 	n := p.Size()
-	src := randomVec(rng, nb*n)
-	dst := make([]complex128, nb*n)
-	p.ForwardBatch(dst, src, nb)
-	for b := 0; b < nb; b++ {
-		want := make([]complex128, n)
-		p.Forward(want, src[b*n:(b+1)*n])
-		if d := maxAbsDiff(dst[b*n:(b+1)*n], want); d > 1e-10 {
-			t.Errorf("batch %d: forward differs by %g", b, d)
-		}
-	}
-	back := make([]complex128, nb*n)
-	p.InverseBatch(back, dst, nb)
-	if d := maxAbsDiff(back, src); d > 1e-9 {
-		t.Errorf("batch round trip differs by %g", d)
-	}
-}
-
-func TestApplySerialMatchesParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := MustPlan3(6, 6, 6)
-	x := randomVec(rng, p.Size())
-	a := make([]complex128, p.Size())
-	b := make([]complex128, p.Size())
-	p.Forward(a, x)
-	p.ApplySerial(b, x, false)
-	if d := maxAbsDiff(a, b); d > 1e-12 {
-		t.Errorf("serial/parallel forward differ by %g", d)
-	}
-	p.Inverse(a, x)
-	p.ApplySerial(b, x, true)
-	if d := maxAbsDiff(a, b); d > 1e-12 {
-		t.Errorf("serial/parallel inverse differ by %g", d)
+	x := randomVec(rng, n)
+	ws := p.NewWorkspace()
+	src, want := lanes.New(n), lanes.New(n)
+	lanes.Pack(src, x)
+	p.RawSlabWS(want, src, false, ws)
+	// In-place: dst aliases src.
+	p.RawSlabWS(src, src, false, ws)
+	got := make([]complex128, n)
+	lanes.Unpack(got, src)
+	if d := maxDiff(got, want); d > 1e-10 {
+		t.Errorf("in-place 3D transform differs from out-of-place by %g", d)
 	}
 }
 
 func BenchmarkFFT1D60(b *testing.B)  { benchFFT1D(b, 60) }
 func BenchmarkFFT1D128(b *testing.B) { benchFFT1D(b, 128) }
 
+// benchFFT1D times one lane-block transform: lanes.Width pencils of
+// length n.
 func benchFFT1D(b *testing.B, n int) {
 	p := MustPlan(n)
 	rng := rand.New(rand.NewSource(1))
-	x := randomVec(rng, n)
-	y := make([]complex128, n)
+	x, y := lanes.New(n*lw), lanes.New(n*lw)
+	lanes.Pack(x, randomVec(rng, n*lw))
+	ws := p.NewWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(y, x)
+		p.transformLanes(y, x, false, ws)
 	}
 }
 
@@ -372,34 +375,32 @@ func BenchmarkFFT3DWavefunctionGrid(b *testing.B) {
 	// 18^3 is a typical laptop-scale wavefunction box for Si8 at 10 Ha.
 	p := MustPlan3(18, 18, 18)
 	rng := rand.New(rand.NewSource(1))
-	x := randomVec(rng, p.Size())
-	y := make([]complex128, p.Size())
+	x, y := lanes.New(p.Size()), lanes.New(p.Size())
+	lanes.Pack(x, randomVec(rng, p.Size()))
+	ws := p.NewWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(y, x)
+		p.RawSlabWS(y, x, false, ws)
 	}
 }
 
 func TestPlanConcurrentUse(t *testing.T) {
 	// Plans are immutable after creation: many goroutines transforming
-	// through one plan must not interfere (the batched Fock loop relies
-	// on this).
+	// through one plan, each with its own workspace, must not interfere
+	// (the band-parallel loops rely on this).
 	p := MustPlan3(6, 9, 10)
 	rng := rand.New(rand.NewSource(42))
 	inputs := make([][]complex128, 16)
 	wants := make([][]complex128, 16)
 	for i := range inputs {
 		inputs[i] = randomVec(rng, p.Size())
-		wants[i] = make([]complex128, p.Size())
-		p.ApplySerial(wants[i], inputs[i], false)
+		wants[i] = raw3(p, inputs[i], false)
 	}
 	done := make(chan error, len(inputs))
 	for i := range inputs {
 		go func(i int) {
-			got := make([]complex128, p.Size())
-			p.ApplySerial(got, inputs[i], false)
-			if maxAbsDiff(got, wants[i]) > 1e-12 {
+			if maxAbsDiff(raw3(p, inputs[i], false), wants[i]) > 1e-12 {
 				done <- fmt.Errorf("goroutine %d: concurrent transform differs", i)
 				return
 			}
@@ -421,7 +422,7 @@ func TestBluesteinLargePrime(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		x := randomVec(rng, n)
 		got := make([]complex128, n)
-		p.Forward(got, x)
+		forward1(p, got, x)
 		want := naiveDFT(x, false)
 		if d := maxAbsDiff(got, want); d > 1e-8*float64(n) {
 			t.Errorf("n=%d: Bluestein differs from naive DFT by %g", n, d)

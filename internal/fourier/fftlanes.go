@@ -2,15 +2,15 @@ package fourier
 
 import "ptdft/internal/lanes"
 
-// This file is the lane-blocked SoA rendition of the 1D transform: the same
-// mixed-radix recursion and Bluestein fallback as fft.go, but operating on
+// This file holds the 1D transform itself, in the lane-blocked SoA layout:
+// the mixed-radix recursion and the Bluestein fallback operate on
 // lanes.Width pencils at once. Data lives in a lane block - a Slab of
 // length n*lanes.Width with element k of pencil l at offset k*Width+l - so
 // each butterfly loads its twiddle once (uniform) and applies it to Width
 // independent pencils (varying) in a fixed-width, bounds-check-free inner
-// loop. One recursion walk and one twiddle stream now serve Width pencils,
-// amortizing the call overhead and table traffic that dominate the scalar
-// per-pencil path.
+// loop. One recursion walk and one twiddle stream serve Width pencils,
+// amortizing the call overhead and table traffic of a per-pencil
+// transform. A single pencil is a lane block with the other lanes zero.
 
 const lw = lanes.Width
 
@@ -31,8 +31,14 @@ func (p *Plan) transformLanes(dst, src lanes.Slab, inverse bool, ws *Workspace) 
 	p.recurseLanes(dst, src, 1, 0, inverse)
 }
 
-// recurseLanes is the decimation-in-time step over a lane block: identical
-// index structure to recurse, with every element offset scaled by Width.
+// recurseLanes performs the decimation-in-time mixed-radix step at
+// recursion depth d over a lane block: split into r sub-transforms of
+// length m reading src with stride, then combine in place in dst using the
+// stage's precomputed tables,
+//
+//	X[k + p*m] = sum_q tw[q*m+k] * root[(q*p) mod r] * F_q[k],
+//
+// with every element offset scaled by Width.
 func (p *Plan) recurseLanes(dst, src lanes.Slab, stride, d int, inverse bool) {
 	if d == len(p.stages) {
 		*(*[lw]float64)(dst.Re) = *(*[lw]float64)(src.Re)
@@ -96,8 +102,7 @@ func (p *Plan) recurseLanes(dst, src lanes.Slab, stride, d int, inverse bool) {
 			}
 		}
 	case 4:
-		// root[1] is ∓i (up to rounding); keep the tabulated value so the
-		// lane path tracks the scalar path bit for bit.
+		// root[1] is ∓i up to rounding; the tabulated value is used as is.
 		jr, ji := rore[1], roim[1]
 		for k := 0; k < m; k++ {
 			w1r, w1i := twre[m+k], twim[m+k]

@@ -2,22 +2,24 @@ package fourier
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
 	"ptdft/internal/lanes"
 )
 
-// FuzzLaneVsScalar is the property pin of the lane-blocked SoA kernel
-// layer: for ANY (grid, nb, lane-remainder) shape the slab kernels must
-// agree with the scalar []complex128 reference path to 1e-12. The seed
-// corpus crosses lane-multiple pencil counts, off-by-one remainders, grids
-// smaller than one lane group, axes that are not multiples of lanes.Width,
-// and Bluestein lengths (primes above maxDirectRadix); the fuzzer then
-// mutates freely inside the capped shape space. The corpus runs as part of
-// a plain `go test`, so the property is checked on every CI run; `go test
-// -fuzz FuzzLaneVsScalar ./internal/fourier` explores beyond it.
-func FuzzLaneVsScalar(f *testing.F) {
+// FuzzLaneVsNaive is the property pin of the lane-blocked SoA transform
+// engine: for ANY (grid, nb, lane-remainder) shape the slab passes must
+// agree with the naive separable DFT oracle (naiveDFT3) to 1e-12 scaled by
+// the transform magnitude. The seed corpus crosses lane-multiple pencil
+// counts, off-by-one remainders, grids smaller than one lane group, axes
+// that are not multiples of lanes.Width, and Bluestein lengths (primes
+// above maxDirectRadix); the fuzzer then mutates freely inside the capped
+// shape space. The corpus runs as part of a plain `go test`, so the
+// property is checked on every CI run; `go test -fuzz FuzzLaneVsNaive
+// ./internal/fourier` explores beyond it.
+func FuzzLaneVsNaive(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(8), uint8(4), int64(1))
 	f.Add(uint8(8), uint8(9), uint8(10), uint8(3), int64(2))
 	f.Add(uint8(5), uint8(7), uint8(3), uint8(1), int64(3))
@@ -49,14 +51,13 @@ func FuzzLaneVsScalar(f *testing.F) {
 		check := func(what string, ref []complex128, got lanes.Slab) {
 			t.Helper()
 			if d := maxDiff(ref, got); d > tol {
-				t.Errorf("%dx%dx%d nb=%d: %s lane vs scalar max diff %g (tol %g)", nx, ny, nz, nb, what, d, tol)
+				t.Errorf("%dx%dx%d nb=%d: %s lane vs naive max diff %g (tol %g)", nx, ny, nz, nb, what, d, tol)
 			}
 		}
 
 		// Raw transform, forward and inverse.
 		for _, inverse := range []bool{false, true} {
-			ref := make([]complex128, n)
-			p.RawSerialWS(ref, src, inverse, ws)
+			ref := naiveDFT3(src, nx, ny, nz, inverse)
 			s, d := lanes.New(n), lanes.New(n)
 			lanes.Pack(s, src)
 			p.RawSlabWS(d, s, inverse, ws)
@@ -64,8 +65,7 @@ func FuzzLaneVsScalar(f *testing.F) {
 		}
 
 		// Fused Poisson solve.
-		ref := append([]complex128(nil), src...)
-		p.PoissonSerialWS(ref, kernel, ws)
+		ref := naivePoisson(src, kernel, nx, ny, nz)
 		s := lanes.New(n)
 		lanes.Pack(s, src)
 		p.PoissonSlabWS(s, kernel, ws)
@@ -75,32 +75,30 @@ func FuzzLaneVsScalar(f *testing.F) {
 		// contractions into nb accumulator rows.
 		phi := randGridRng(rng, nb*n)
 		refAcc := make([]complex128, nb*n)
-		buf := make([]complex128, n)
 		sphi, sacc, ssrc, sbuf := lanes.New(nb*n), lanes.New(nb*n), lanes.New(n), lanes.New(n)
 		lanes.Pack(sphi, phi)
 		lanes.Pack(ssrc, src)
 		for b := 0; b < nb; b++ {
-			row := phi[b*n : (b+1)*n]
-			p.ContractSerialWS(refAcc[b*n:(b+1)*n], row, src, buf, kernel, complex(-0.25, 0), ws)
+			naiveContract(refAcc[b*n:(b+1)*n], phi[b*n:(b+1)*n], src, kernel, -0.25, nx, ny, nz)
 			p.ContractSlabWS(sacc.Row(b, n), sphi.Row(b, n), ssrc, sbuf, kernel, -0.25, ws)
 		}
 		check("nb-band contraction", refAcc, sacc)
 
 		// Two-sided pair contraction, off-diagonal and diagonal, against a
-		// spelled-out scalar oracle (no kernel-symmetry assumption: conj(v)
-		// is taken explicitly).
+		// spelled-out oracle (no kernel-symmetry assumption: conj(v) is
+		// taken explicitly).
 		if nb >= 2 {
 			phiI, phiJ := phi[:n], phi[n:2*n]
-			v := make([]complex128, n)
-			for i := range v {
-				v[i] = complex(real(phiI[i]), -imag(phiI[i])) * phiJ[i]
+			pair := make([]complex128, n)
+			for i := range pair {
+				pair[i] = cmplx.Conj(phiI[i]) * phiJ[i]
 			}
-			p.PoissonSerialWS(v, kernel, ws)
+			v := naivePoisson(pair, kernel, nx, ny, nz)
 			refI := make([]complex128, n)
 			refJ := make([]complex128, n)
 			for i := range v {
 				refJ[i] += -0.25 * phiI[i] * v[i]
-				refI[i] += -0.25 * phiJ[i] * complex(real(v[i]), -imag(v[i]))
+				refI[i] += -0.25 * phiJ[i] * cmplx.Conj(v[i])
 			}
 			accI, accJ := lanes.New(n), lanes.New(n)
 			p.ContractPairSlabWS(accI, accJ, sphi.Row(0, n), sphi.Row(1, n), sbuf, kernel, -0.25, false, ws)
@@ -108,7 +106,7 @@ func FuzzLaneVsScalar(f *testing.F) {
 			check("pair contraction accI", refI, accI)
 		}
 		refD := make([]complex128, n)
-		p.ContractSerialWS(refD, src, src, buf, kernel, complex(-0.25, 0), ws)
+		naiveContract(refD, src, src, kernel, -0.25, nx, ny, nz)
 		accD := lanes.New(n)
 		p.ContractPairSlabWS(accD, accD, ssrc, ssrc, sbuf, kernel, -0.25, true, ws)
 		check("diagonal pair contraction", refD, accD)

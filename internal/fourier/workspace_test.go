@@ -4,6 +4,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"ptdft/internal/lanes"
 )
 
 func randGrid(n int, seed int64) []complex128 {
@@ -15,46 +17,57 @@ func randGrid(n int, seed int64) []complex128 {
 	return x
 }
 
-// The workspace-threaded serial path must agree with the pooled one for
-// mixed-radix and Bluestein axis sizes alike (67 is prime > maxDirectRadix).
+func packed(x []complex128) lanes.Slab {
+	s := lanes.New(len(x))
+	lanes.Pack(s, x)
+	return s
+}
+
+// A workspace drawn from the plan's pool (the one-shot callers' path) and
+// an explicitly owned one (the hot loops' path) must give the same
+// transform, for mixed-radix and Bluestein axis sizes alike (67 is prime >
+// maxDirectRadix).
 func TestApplySerialWSMatchesApplySerial(t *testing.T) {
 	for _, dims := range [][3]int{{8, 9, 10}, {4, 67, 3}, {5, 5, 5}} {
 		p := MustPlan3(dims[0], dims[1], dims[2])
-		src := randGrid(p.Size(), 1)
-		want := make([]complex128, p.Size())
-		got := make([]complex128, p.Size())
+		src := packed(randGrid(p.Size(), 1))
+		want, got := lanes.New(p.Size()), lanes.New(p.Size())
 		ws := p.NewWorkspace()
 		for _, inverse := range []bool{false, true} {
-			p.ApplySerial(want, src, inverse)
-			p.ApplySerialWS(got, src, inverse, ws)
-			if d := maxAbsDiff(want, got); d > 1e-12 {
-				t.Errorf("dims %v inverse=%v: WS path differs by %g", dims, inverse, d)
+			pooled := p.CheckoutWorkspace()
+			p.RawSlabWS(want, src, inverse, pooled)
+			p.ReturnWorkspace(pooled)
+			p.RawSlabWS(got, src, inverse, ws)
+			for i := range want.Re {
+				if want.Re[i] != got.Re[i] || want.Im[i] != got.Im[i] {
+					t.Fatalf("dims %v inverse=%v: pooled and owned workspaces differ at %d", dims, inverse, i)
+				}
 			}
 		}
 	}
 }
 
-// RawSerialWS is the unnormalized core: inverse must equal ApplySerial
-// scaled back up by N.
+// RawSlabWS is unnormalized in both directions: the inverse of the forward
+// transform returns N times the input.
 func TestRawSerialWSUnnormalized(t *testing.T) {
 	p := MustPlan3(6, 5, 4)
 	n := p.Size()
 	src := randGrid(n, 2)
-	norm := make([]complex128, n)
-	raw := make([]complex128, n)
-	p.ApplySerial(norm, src, true)
+	s := packed(src)
 	ws := p.NewWorkspace()
-	p.RawSerialWS(raw, src, true, ws)
+	p.RawSlabWS(s, s, false, ws)
+	p.RawSlabWS(s, s, true, ws)
 	scale := complex(float64(n), 0)
-	for i := range norm {
-		if d := cmplx.Abs(raw[i] - norm[i]*scale); d > 1e-9 {
-			t.Fatalf("raw inverse differs at %d by %g", i, d)
+	for i := range src {
+		if d := cmplx.Abs(complex(s.Re[i], s.Im[i]) - src[i]*scale); d > 1e-9 {
+			t.Fatalf("raw round trip differs from N*x at %d by %g", i, d)
 		}
 	}
 }
 
-// The fused Poisson round trip must equal the unfused Forward + pointwise
-// kernel multiply + normalized Inverse sequence.
+// The fused Poisson round trip must equal the unfused raw forward +
+// pointwise kernel multiply + raw inverse / N sequence, for mixed-radix and
+// Bluestein axis sizes alike (67 is prime > maxDirectRadix).
 func TestPoissonSerialMatchesManual(t *testing.T) {
 	for _, dims := range [][3]int{{8, 9, 10}, {4, 67, 3}} {
 		p := MustPlan3(dims[0], dims[1], dims[2])
@@ -65,17 +78,21 @@ func TestPoissonSerialMatchesManual(t *testing.T) {
 			kernel[i] = rng.Float64() + 0.1
 		}
 		src := randGrid(n, 4)
+		ws := p.NewWorkspace()
 
-		want := make([]complex128, n)
-		p.ApplySerial(want, src, false)
-		for i := range want {
-			want[i] *= complex(kernel[i], 0)
+		want := packed(src)
+		p.RawSlabWS(want, want, false, ws)
+		for i := range kernel {
+			want.Re[i] *= kernel[i] / float64(n)
+			want.Im[i] *= kernel[i] / float64(n)
 		}
-		p.ApplySerial(want, want, true)
+		p.RawSlabWS(want, want, true, ws)
 
-		got := append([]complex128(nil), src...)
-		p.PoissonSerial(got, kernel)
-		if d := maxAbsDiff(want, got); d > 1e-9 {
+		got := packed(src)
+		p.PoissonSlabWS(got, kernel, ws)
+		w := make([]complex128, n)
+		lanes.Unpack(w, want)
+		if d := maxDiff(w, got); d > 1e-9 {
 			t.Errorf("dims %v: fused Poisson differs by %g", dims, d)
 		}
 	}
@@ -93,33 +110,32 @@ func TestContractSerialMatchesManual(t *testing.T) {
 	}
 	phi := randGrid(n, 6)
 	src := randGrid(n, 7)
-	scale := complex(-0.25, 0)
+	scale := -0.25
+	ws := p.NewWorkspace()
 
 	pair := make([]complex128, n)
 	for k := range pair {
 		pair[k] = cmplx.Conj(phi[k]) * src[k]
 	}
-	p.PoissonSerial(pair, kernel)
+	v := packed(pair)
+	p.PoissonSlabWS(v, kernel, ws)
+	lanes.Unpack(pair, v)
 	want := randGrid(n, 8) // nonzero start: Contract accumulates
-	got := append([]complex128(nil), want...)
+	got := packed(want)
 	for k := range want {
-		want[k] += scale * phi[k] * pair[k]
+		want[k] += complex(scale, 0) * phi[k] * pair[k]
 	}
 
-	ws := p.NewWorkspace()
-	buf := make([]complex128, n)
-	p.ContractSerialWS(got, phi, src, buf, kernel, scale, ws)
-	if d := maxAbsDiff(want, got); d > 1e-9 {
+	p.ContractSlabWS(got, packed(phi), packed(src), lanes.New(n), kernel, scale, ws)
+	if d := maxDiff(want, got); d > 1e-9 {
 		t.Errorf("fused contraction differs by %g", d)
 	}
 }
 
-// The plan-owned scratch makes the steady-state serial transforms
-// allocation-free, including the Bluestein fallback and the fused paths.
+// With caller-owned scratch every grid transform the engine offers - raw,
+// Poisson, one-sided and two-sided contraction - is allocation-free,
+// including the Bluestein fallback.
 func TestSerialTransformAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	for _, dims := range [][3]int{{8, 9, 10}, {4, 67, 3}} {
 		p := MustPlan3(dims[0], dims[1], dims[2])
 		n := p.Size()
@@ -127,24 +143,22 @@ func TestSerialTransformAllocs(t *testing.T) {
 		for i := range kernel {
 			kernel[i] = 1
 		}
-		buf := randGrid(n, 9)
-		dst := make([]complex128, n)
-		phi := randGrid(n, 10)
+		buf := packed(randGrid(n, 9))
+		dst := lanes.New(n)
+		phi := packed(randGrid(n, 10))
+		pair := lanes.New(n)
 		ws := p.NewWorkspace()
-		pairBuf := make([]complex128, n)
-		// Warm the pool, then demand zero steady-state allocations.
-		p.ApplySerial(dst, buf, true)
-		p.PoissonSerial(buf, kernel)
-		if a := testing.AllocsPerRun(10, func() { p.ApplySerial(dst, buf, false) }); a > 0 {
-			t.Errorf("dims %v: ApplySerial allocates %v per run", dims, a)
+		if a := testing.AllocsPerRun(10, func() { p.RawSlabWS(dst, buf, false, ws) }); a > 0 {
+			t.Errorf("dims %v: RawSlabWS allocates %v per run", dims, a)
 		}
-		if a := testing.AllocsPerRun(10, func() { p.PoissonSerial(buf, kernel) }); a > 0 {
-			t.Errorf("dims %v: PoissonSerial allocates %v per run", dims, a)
+		if a := testing.AllocsPerRun(10, func() { p.PoissonSlabWS(buf, kernel, ws) }); a > 0 {
+			t.Errorf("dims %v: PoissonSlabWS allocates %v per run", dims, a)
 		}
 		if a := testing.AllocsPerRun(10, func() {
-			p.ContractSerialWS(dst, phi, buf, pairBuf, kernel, 1, ws)
+			p.ContractSlabWS(dst, phi, buf, pair, kernel, 1, ws)
+			p.ContractPairSlabWS(dst, buf, phi, phi, pair, kernel, 1, false, ws)
 		}); a > 0 {
-			t.Errorf("dims %v: ContractSerialWS allocates %v per run", dims, a)
+			t.Errorf("dims %v: contractions allocate %v per run", dims, a)
 		}
 	}
 }

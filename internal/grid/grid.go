@@ -19,7 +19,6 @@ import (
 	"ptdft/internal/fourier"
 	"ptdft/internal/lanes"
 	"ptdft/internal/lattice"
-	"ptdft/internal/parallel"
 )
 
 // Grid holds the discretization for one cell and cutoff.
@@ -173,121 +172,49 @@ func (g *Grid) DV() float64 { return g.Volume() / float64(g.NDTot) }
 // DVWave returns the real-space volume element of the wavefunction grid.
 func (g *Grid) DVWave() float64 { return g.Volume() / float64(g.NTot) }
 
-// ToReal transforms sphere coefficients c (length NG) to real-space values
-// psi(r) on the wavefunction box (length NTot): psi = (1/sqrt(Omega)) *
-// sum_G c_G exp(iG.r). box is overwritten.
-func (g *Grid) ToReal(box []complex128, c []complex128) {
-	g.scatterAndTransform(box, c, g.SphereIdx, g.Plan, g.NTot)
-}
-
-// ToRealDense is ToReal onto the dense box (zero padding in G space),
-// used when accumulating the charge density.
-func (g *Grid) ToRealDense(box []complex128, c []complex128) {
-	g.scatterAndTransform(box, c, g.SphereIdxD, g.PlanD, g.NDTot)
-}
-
-func (g *Grid) scatterAndTransform(box, c []complex128, idx []int, plan *fourier.Plan3, ntot int) {
-	if len(box) != ntot || len(c) != g.NG {
-		panic("grid: ToReal buffer size mismatch")
-	}
-	for i := range box {
-		box[i] = 0
-	}
-	for s, k := range idx {
-		box[k] = c[s]
-	}
-	// Unnormalized exp(+iG.r) synthesis = N * normalized inverse.
-	plan.Inverse(box, box)
-	scale := complex(float64(ntot)/math.Sqrt(g.Volume()), 0)
-	for i := range box {
-		box[i] *= scale
-	}
-}
-
-// FromReal projects real-space values on the wavefunction box back onto the
-// sphere coefficients: c_G = (sqrt(Omega)/NTot) * Forward(psi)[G]. It is the
-// exact inverse of ToReal. box is destroyed.
-func (g *Grid) FromReal(c []complex128, box []complex128) {
-	if len(box) != g.NTot || len(c) != g.NG {
-		panic("grid: FromReal buffer size mismatch")
-	}
-	g.Plan.Forward(box, box)
-	scale := complex(math.Sqrt(g.Volume())/float64(g.NTot), 0)
-	for s, k := range g.SphereIdx {
-		c[s] = box[k] * scale
-	}
-}
-
-// ToRealSerial is ToReal without worker-pool parallelism, for callers that
-// run many transforms concurrently (one band per goroutine). FFT scratch
-// comes from the plan's pool; steady state allocates nothing.
-func (g *Grid) ToRealSerial(box []complex128, c []complex128) {
-	ws := g.Plan.CheckoutWorkspace()
-	g.ToRealSerialWS(box, c, ws)
-	g.Plan.ReturnWorkspace(ws)
-}
-
-// ToRealSerialWS is ToRealSerial with caller-owned FFT scratch (from
-// Plan.NewWorkspace), for hot loops that bind one workspace per worker.
-// The 1/sqrt(Omega) normalization is folded into the sphere scatter and the
-// synthesis runs unnormalized, avoiding two extra passes over the box.
-func (g *Grid) ToRealSerialWS(box []complex128, c []complex128, ws *fourier.Workspace3) {
-	if len(box) != g.NTot || len(c) != g.NG {
-		panic("grid: ToRealSerial buffer size mismatch")
-	}
-	for i := range box {
-		box[i] = 0
-	}
-	scale := complex(1/math.Sqrt(g.Volume()), 0)
-	for s, k := range g.SphereIdx {
-		box[k] = c[s] * scale
-	}
-	// Unnormalized exp(+iG.r) synthesis; the usual 1/N of the inverse and
-	// the N of the synthesis cancel.
-	g.Plan.RawSerialWS(box, box, true, ws)
-}
-
-// FromRealSerial is FromReal without worker-pool parallelism.
-func (g *Grid) FromRealSerial(c []complex128, box []complex128) {
-	ws := g.Plan.CheckoutWorkspace()
-	g.FromRealSerialWS(c, box, ws)
-	g.Plan.ReturnWorkspace(ws)
-}
-
-// FromRealSerialWS is FromRealSerial with caller-owned FFT scratch. The
-// sqrt(Omega)/N normalization is applied only on the NG sphere entries
-// during the gather, never as a full-box pass.
-func (g *Grid) FromRealSerialWS(c []complex128, box []complex128, ws *fourier.Workspace3) {
-	if len(box) != g.NTot || len(c) != g.NG {
-		panic("grid: FromRealSerial buffer size mismatch")
-	}
-	g.Plan.RawSerialWS(box, box, false, ws)
-	scale := complex(math.Sqrt(g.Volume())/float64(g.NTot), 0)
-	for s, k := range g.SphereIdx {
-		c[s] = box[k] * scale
-	}
-}
-
-// ToRealSlabWS is ToRealSerialWS with the real-space box in the
-// lane-blocked SoA layout (internal/lanes): sphere coefficients scatter
-// straight into the split re/im arrays and the synthesis runs through the
-// slab FFT passes, so downstream SoA consumers (the Fock contraction) never
-// re-interleave.
+// ToRealSlabWS transforms sphere coefficients c (length NG) to real-space
+// values psi(r) on the wavefunction box (length NTot): psi =
+// (1/sqrt(Omega)) * sum_G c_G exp(iG.r). box is overwritten. FFT scratch
+// is the caller's (from Plan.NewWorkspace), so hot loops bind one
+// workspace per worker and allocate nothing.
 func (g *Grid) ToRealSlabWS(box lanes.Slab, c []complex128, ws *fourier.Workspace3) {
-	if box.Len() != g.NTot || len(c) != g.NG {
+	if box.Len() != g.NTot {
 		panic("grid: ToRealSlab buffer size mismatch")
+	}
+	g.synthesize(box, c, g.SphereIdx, g.Plan, ws)
+}
+
+// ToRealDenseSlabWS is ToRealSlabWS onto the dense box (zero padding in G
+// space), used when accumulating the charge density. ws comes from
+// PlanD.NewWorkspace.
+func (g *Grid) ToRealDenseSlabWS(box lanes.Slab, c []complex128, ws *fourier.Workspace3) {
+	if box.Len() != g.NDTot {
+		panic("grid: ToRealDenseSlab buffer size mismatch")
+	}
+	g.synthesize(box, c, g.SphereIdxD, g.PlanD, ws)
+}
+
+// synthesize scatters the sphere coefficients into box at idx and runs the
+// unnormalized exp(+iG.r) synthesis. The 1/sqrt(Omega) normalization is
+// folded into the scatter, so no full-box scaling pass is needed.
+func (g *Grid) synthesize(box lanes.Slab, c []complex128, idx []int, plan *fourier.Plan3, ws *fourier.Workspace3) {
+	if len(c) != g.NG {
+		panic("grid: sphere coefficient length mismatch")
 	}
 	box.Zero()
 	scale := 1 / math.Sqrt(g.Volume())
-	for s, k := range g.SphereIdx {
+	for s, k := range idx {
 		box.Re[k] = real(c[s]) * scale
 		box.Im[k] = imag(c[s]) * scale
 	}
-	g.Plan.RawSlabWS(box, box, true, ws)
+	plan.RawSlabWS(box, box, true, ws)
 }
 
-// FromRealSlabWS is FromRealSerialWS over a SoA box. The box is consumed
-// (transformed in place).
+// FromRealSlabWS projects real-space values on the wavefunction box back
+// onto the sphere coefficients: c_G = (sqrt(Omega)/NTot) * FFT(psi)[G], the
+// exact inverse of ToRealSlabWS. The normalization is applied only on the
+// NG sphere entries during the gather. The box is consumed (transformed in
+// place).
 func (g *Grid) FromRealSlabWS(c []complex128, box lanes.Slab, ws *fourier.Workspace3) {
 	if box.Len() != g.NTot || len(c) != g.NG {
 		panic("grid: FromRealSlab buffer size mismatch")
@@ -300,49 +227,37 @@ func (g *Grid) FromRealSlabWS(c []complex128, box lanes.Slab, ws *fourier.Worksp
 }
 
 // DenseForward computes the Fourier coefficients f_G of a real-space dense
-// field: f_G = Forward(f)/NDTot, so that f(r) = sum_G f_G exp(iG.r).
-// src is real-valued data stored as complex; dst may alias src.
-func (g *Grid) DenseForward(dst, src []complex128) {
-	if len(dst) != g.NDTot || len(src) != g.NDTot {
-		panic("grid: DenseForward buffer size mismatch")
-	}
-	g.PlanD.Forward(dst, src)
-	scale := complex(1/float64(g.NDTot), 0)
-	parallel.ForBlock(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] *= scale
-		}
-	})
+// field: f_G = FFT(f)/NDTot, so that f(r) = sum_G f_G exp(iG.r). A real
+// field is a slab with Im zero; dst may be src.
+func (g *Grid) DenseForward(dst, src lanes.Slab) {
+	g.denseRaw(dst, src, false)
+	lanes.Scale(dst, 1/float64(g.NDTot))
 }
 
 // DenseInverse synthesizes a real-space dense field from Fourier
-// coefficients: f(r) = sum_G f_G exp(iG.r). dst may alias src.
-func (g *Grid) DenseInverse(dst, src []complex128) {
-	if len(dst) != g.NDTot || len(src) != g.NDTot {
-		panic("grid: DenseInverse buffer size mismatch")
-	}
-	g.PlanD.Inverse(dst, src)
-	scale := complex(float64(g.NDTot), 0)
-	parallel.ForBlock(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] *= scale
-		}
-	})
+// coefficients: f(r) = sum_G f_G exp(iG.r), the raw inverse transform.
+// dst may be src.
+func (g *Grid) DenseInverse(dst, src lanes.Slab) { g.denseRaw(dst, src, true) }
+
+// denseRaw runs one unnormalized dense-box transform with pooled scratch.
+// Dense transforms are a handful per SCF iteration, so they run serially
+// through the same slab passes as the band transforms.
+func (g *Grid) denseRaw(dst, src lanes.Slab, inverse bool) {
+	ws := g.PlanD.CheckoutWorkspace()
+	g.PlanD.RawSlabWS(dst, src, inverse, ws)
+	g.PlanD.ReturnWorkspace(ws)
 }
 
 // RestrictDenseToWave Fourier-interpolates a real-space field from the dense
 // box onto the wavefunction box (truncation of high-G components). Used to
 // apply the self-consistent potential, computed on the dense grid, to
-// orbitals represented on the coarser wavefunction grid.
-func (g *Grid) RestrictDenseToWave(dst, srcDense []complex128) {
-	if len(dst) != g.NTot || len(srcDense) != g.NDTot {
+// orbitals represented on the coarser wavefunction grid. srcDense is
+// consumed (transformed in place).
+func (g *Grid) RestrictDenseToWave(dst, srcDense lanes.Slab) {
+	if dst.Len() != g.NTot || srcDense.Len() != g.NDTot {
 		panic("grid: RestrictDenseToWave buffer size mismatch")
 	}
-	work := make([]complex128, g.NDTot)
-	g.DenseForward(work, srcDense)
-	for i := range dst {
-		dst[i] = 0
-	}
+	g.DenseForward(srcDense, srcDense)
 	// Copy every coarse-box G from the dense box; every Miller index
 	// representable on the coarse box exists on the (finer) dense box.
 	for ix := 0; ix < g.N[0]; ix++ {
@@ -351,16 +266,15 @@ func (g *Grid) RestrictDenseToWave(dst, srcDense []complex128) {
 			dy := indexFromMiller(millerFromIndex(iy, g.N[1]), g.ND[1])
 			for iz := 0; iz < g.N[2]; iz++ {
 				dz := indexFromMiller(millerFromIndex(iz, g.N[2]), g.ND[2])
-				dst[(ix*g.N[1]+iy)*g.N[2]+iz] = work[(dx*g.ND[1]+dy)*g.ND[2]+dz]
+				k, kd := (ix*g.N[1]+iy)*g.N[2]+iz, (dx*g.ND[1]+dy)*g.ND[2]+dz
+				dst.Re[k], dst.Im[k] = srcDense.Re[kd], srcDense.Im[kd]
 			}
 		}
 	}
 	// Synthesize on the wavefunction box.
-	g.Plan.Inverse(dst, dst)
-	scale := complex(float64(g.NTot), 0)
-	for i := range dst {
-		dst[i] *= scale
-	}
+	ws := g.Plan.CheckoutWorkspace()
+	g.Plan.RawSlabWS(dst, dst, true, ws)
+	g.Plan.ReturnWorkspace(ws)
 }
 
 // WavePointPositions returns the Cartesian coordinates of wavefunction-box

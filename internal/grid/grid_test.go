@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ptdft/internal/lanes"
 	"ptdft/internal/lattice"
 )
 
@@ -88,42 +89,14 @@ func TestToRealFromRealRoundTrip(t *testing.T) {
 	for i := range c {
 		c[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	box := make([]complex128, g.NTot)
-	g.ToReal(box, c)
+	ws := g.Plan.NewWorkspace()
+	box := lanes.New(g.NTot)
+	g.ToRealSlabWS(box, c, ws)
 	c2 := make([]complex128, g.NG)
-	g.FromReal(c2, box)
+	g.FromRealSlabWS(c2, box, ws)
 	for i := range c {
 		if cmplx.Abs(c[i]-c2[i]) > 1e-10 {
 			t.Fatalf("round trip differs at %d: %v vs %v", i, c[i], c2[i])
-		}
-	}
-}
-
-func TestSerialTransformsMatchParallel(t *testing.T) {
-	g := si8Grid(t, 4)
-	rng := rand.New(rand.NewSource(2))
-	c := make([]complex128, g.NG)
-	for i := range c {
-		c[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	a := make([]complex128, g.NTot)
-	b := make([]complex128, g.NTot)
-	g.ToReal(a, c)
-	g.ToRealSerial(b, c)
-	for i := range a {
-		if cmplx.Abs(a[i]-b[i]) > 1e-10 {
-			t.Fatalf("serial ToReal differs at %d", i)
-		}
-	}
-	ca := make([]complex128, g.NG)
-	cb := make([]complex128, g.NG)
-	copyBox := make([]complex128, g.NTot)
-	copy(copyBox, a)
-	g.FromReal(ca, a)
-	g.FromRealSerial(cb, copyBox)
-	for i := range ca {
-		if cmplx.Abs(ca[i]-cb[i]) > 1e-10 {
-			t.Fatalf("serial FromReal differs at %d", i)
 		}
 	}
 }
@@ -142,24 +115,14 @@ func TestNormalizationParseval(t *testing.T) {
 	for i := range c {
 		c[i] *= s
 	}
-	box := make([]complex128, g.NTot)
-	g.ToReal(box, c)
-	var integral float64
-	for _, v := range box {
-		integral += real(v)*real(v) + imag(v)*imag(v)
-	}
-	integral *= g.DVWave()
-	if math.Abs(integral-1) > 1e-10 {
+	box := lanes.New(g.NTot)
+	g.ToRealSlabWS(box, c, g.Plan.NewWorkspace())
+	if integral := lanes.DotRe(box, box) * g.DVWave(); math.Abs(integral-1) > 1e-10 {
 		t.Errorf("wave box norm integral = %g, want 1", integral)
 	}
-	boxD := make([]complex128, g.NDTot)
-	g.ToRealDense(boxD, c)
-	integral = 0
-	for _, v := range boxD {
-		integral += real(v)*real(v) + imag(v)*imag(v)
-	}
-	integral *= g.DV()
-	if math.Abs(integral-1) > 1e-10 {
+	boxD := lanes.New(g.NDTot)
+	g.ToRealDenseSlabWS(boxD, c, g.PlanD.NewWorkspace())
+	if integral := lanes.DotRe(boxD, boxD) * g.DV(); math.Abs(integral-1) > 1e-10 {
 		t.Errorf("dense box norm integral = %g, want 1", integral)
 	}
 }
@@ -167,16 +130,16 @@ func TestNormalizationParseval(t *testing.T) {
 func TestDenseForwardInverseRoundTrip(t *testing.T) {
 	g := si8Grid(t, 3)
 	rng := rand.New(rand.NewSource(4))
-	f := make([]complex128, g.NDTot)
-	for i := range f {
-		f[i] = complex(rng.NormFloat64(), 0)
+	f := lanes.New(g.NDTot)
+	for i := range f.Re {
+		f.Re[i] = rng.NormFloat64()
 	}
-	coeff := make([]complex128, g.NDTot)
+	coeff := lanes.New(g.NDTot)
 	g.DenseForward(coeff, f)
-	back := make([]complex128, g.NDTot)
+	back := lanes.New(g.NDTot)
 	g.DenseInverse(back, coeff)
-	for i := range f {
-		if cmplx.Abs(f[i]-back[i]) > 1e-10 {
+	for i := range f.Re {
+		if math.Abs(f.Re[i]-back.Re[i]) > 1e-10 || math.Abs(back.Im[i]) > 1e-10 {
 			t.Fatalf("dense round trip differs at %d", i)
 		}
 	}
@@ -184,19 +147,19 @@ func TestDenseForwardInverseRoundTrip(t *testing.T) {
 
 func TestDenseForwardConstantField(t *testing.T) {
 	g := si8Grid(t, 3)
-	f := make([]complex128, g.NDTot)
-	for i := range f {
-		f[i] = 2.5
+	f := lanes.New(g.NDTot)
+	for i := range f.Re {
+		f.Re[i] = 2.5
 	}
-	coeff := make([]complex128, g.NDTot)
+	coeff := lanes.New(g.NDTot)
 	g.DenseForward(coeff, f)
 	// Only the G=0 coefficient (linear index 0) should be nonzero.
-	if cmplx.Abs(coeff[0]-2.5) > 1e-10 {
-		t.Errorf("G=0 coefficient = %v, want 2.5", coeff[0])
+	if cmplx.Abs(complex(coeff.Re[0], coeff.Im[0])-2.5) > 1e-10 {
+		t.Errorf("G=0 coefficient = %v, want 2.5", complex(coeff.Re[0], coeff.Im[0]))
 	}
-	for i := 1; i < len(coeff); i++ {
-		if cmplx.Abs(coeff[i]) > 1e-10 {
-			t.Fatalf("nonzero coefficient at %d: %v", i, coeff[i])
+	for i := 1; i < coeff.Len(); i++ {
+		if v := complex(coeff.Re[i], coeff.Im[i]); cmplx.Abs(v) > 1e-10 {
+			t.Fatalf("nonzero coefficient at %d: %v", i, v)
 		}
 	}
 }
@@ -208,7 +171,7 @@ func TestRestrictDenseToWavePlaneWave(t *testing.T) {
 	m := [3]int{1, -2, 1}
 	b := [3]float64{2 * math.Pi / g.Cell.L[0], 2 * math.Pi / g.Cell.L[1], 2 * math.Pi / g.Cell.L[2]}
 	gv := [3]float64{float64(m[0]) * b[0], float64(m[1]) * b[1], float64(m[2]) * b[2]}
-	dense := make([]complex128, g.NDTot)
+	dense := lanes.New(g.NDTot)
 	idx := 0
 	for ix := 0; ix < g.ND[0]; ix++ {
 		x := float64(ix) / float64(g.ND[0]) * g.Cell.L[0]
@@ -217,12 +180,12 @@ func TestRestrictDenseToWavePlaneWave(t *testing.T) {
 			for iz := 0; iz < g.ND[2]; iz++ {
 				z := float64(iz) / float64(g.ND[2]) * g.Cell.L[2]
 				ph := gv[0]*x + gv[1]*y + gv[2]*z
-				dense[idx] = cmplx.Exp(complex(0, ph))
+				dense.Im[idx], dense.Re[idx] = math.Sincos(ph)
 				idx++
 			}
 		}
 	}
-	wave := make([]complex128, g.NTot)
+	wave := lanes.New(g.NTot)
 	g.RestrictDenseToWave(wave, dense)
 	idx = 0
 	for ix := 0; ix < g.N[0]; ix++ {
@@ -233,8 +196,8 @@ func TestRestrictDenseToWavePlaneWave(t *testing.T) {
 				z := float64(iz) / float64(g.N[2]) * g.Cell.L[2]
 				ph := gv[0]*x + gv[1]*y + gv[2]*z
 				want := cmplx.Exp(complex(0, ph))
-				if cmplx.Abs(wave[idx]-want) > 1e-9 {
-					t.Fatalf("restriction differs at %d: got %v want %v", idx, wave[idx], want)
+				if got := complex(wave.Re[idx], wave.Im[idx]); cmplx.Abs(got-want) > 1e-9 {
+					t.Fatalf("restriction differs at %d: got %v want %v", idx, got, want)
 				}
 				idx++
 			}

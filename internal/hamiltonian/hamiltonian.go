@@ -20,6 +20,7 @@ import (
 	"ptdft/internal/fock"
 	"ptdft/internal/fourier"
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 	"ptdft/internal/linalg"
 	"ptdft/internal/parallel"
 	"ptdft/internal/potential"
@@ -87,18 +88,20 @@ type Hamiltonian struct {
 	scratch parallel.ScratchPool[*applyScratch]
 }
 
-// applyScratch is the per-worker scratch of one band application: the two
-// real-space boxes, a sphere-coefficient vector and the FFT line scratch.
+// applyScratch is the per-worker scratch of one band application: the
+// real-space band, its H image and the exchange pair buffer (grid slabs), a
+// sphere-coefficient vector and the FFT scratch.
 type applyScratch struct {
-	box, vbox []complex128
-	c         []complex128
-	fws       *fourier.Workspace3
+	box, vbox, pair lanes.Slab
+	c               []complex128
+	fws             *fourier.Workspace3
 }
 
 func (h *Hamiltonian) newScratch() *applyScratch {
 	return &applyScratch{
-		box:  make([]complex128, h.G.NTot),
-		vbox: make([]complex128, h.G.NTot),
+		box:  lanes.New(h.G.NTot),
+		vbox: lanes.New(h.G.NTot),
+		pair: lanes.New(h.G.NTot),
 		c:    make([]complex128, h.G.NG),
 		fws:  h.G.Plan.NewWorkspace(),
 	}
@@ -335,9 +338,10 @@ func (h *Hamiltonian) applyOne(dst, src []complex128, sc *applyScratch, withFock
 		dst[s] = complex(h.KineticFactor(s), 0) * src[s]
 	}
 	box, vbox := sc.box, sc.vbox
-	h.G.ToRealSerialWS(box, src, sc.fws)
-	for k := range vbox {
-		vbox[k] = complex(h.veffWave[k], 0) * box[k]
+	h.G.ToRealSlabWS(box, src, sc.fws)
+	for k, v := range h.veffWave {
+		vbox.Re[k] = v * box.Re[k]
+		vbox.Im[k] = v * box.Im[k]
 	}
 	if h.nlBloch != nil {
 		h.nlBloch.Apply(vbox, box)
@@ -345,9 +349,9 @@ func (h *Hamiltonian) applyOne(dst, src []complex128, sc *applyScratch, withFock
 		h.NL.Apply(vbox, box)
 	}
 	if withFock {
-		h.fockOp.ApplyReal(vbox, box)
+		h.fockOp.ApplySlab(vbox, box, sc.pair, sc.fws)
 	}
-	h.G.FromRealSerialWS(sc.c, vbox, sc.fws)
+	h.G.FromRealSlabWS(sc.c, vbox, sc.fws)
 	for s := 0; s < ng; s++ {
 		dst[s] += sc.c[s]
 	}
@@ -410,26 +414,25 @@ func (e EnergyBreakdown) Total() float64 {
 
 // TotalEnergy evaluates the energy functional for orbitals psi and the
 // density rho they generate. UpdatePotential(rho) must have been called so
-// that the Hartree/XC/local bookkeeping matches rho.
+// that the Hartree/XC/local bookkeeping matches rho. The per-band terms are
+// folded in band order, so the sums do not depend on the worker count.
 func (h *Hamiltonian) TotalEnergy(psi []complex128, nb int, occ float64) EnergyBreakdown {
 	ng := h.G.NG
-	var ekin, enl float64
-	var mu parallelSum
+	kin, nl := make([]float64, nb), make([]float64, nb)
 	wss := h.scratch.Acquire(parallel.NumWorkers(nb))
 	parallel.ForWorker(nb, func(w, j int) {
 		c := psi[j*ng : (j+1)*ng]
-		var k float64
-		for s := 0; s < ng; s++ {
-			v := c[s]
-			k += h.KineticFactor(s) * (real(v)*real(v) + imag(v)*imag(v))
-		}
+		kin[j] = h.KineticEnergyBand(c)
 		sc := wss[w]
-		h.G.ToRealSerialWS(sc.box, c, sc.fws)
-		nl := h.NL.Energy(sc.box)
-		mu.add(&ekin, occ*k)
-		mu.add(&enl, occ*nl)
+		h.G.ToRealSlabWS(sc.box, c, sc.fws)
+		nl[j] = h.NL.Energy(sc.box)
 	})
 	h.scratch.Release(wss)
+	var ekin, enl float64
+	for j := range kin {
+		ekin += occ * kin[j]
+		enl += occ * nl[j]
+	}
 	eb := EnergyBreakdown{
 		Kinetic:  ekin,
 		Nonlocal: enl,
@@ -469,15 +472,6 @@ func (h *Hamiltonian) BandEnergies(psi []complex128, nb int) []float64 {
 		out[j] = real(linalg.Dot(psi[j*ng:(j+1)*ng], hp[j*ng:(j+1)*ng]))
 	}
 	return out
-}
-
-// parallelSum guards scalar accumulation from worker goroutines.
-type parallelSum struct{ mu sync.Mutex }
-
-func (p *parallelSum) add(dst *float64, v float64) {
-	p.mu.Lock()
-	*dst += v
-	p.mu.Unlock()
 }
 
 // KineticEnergyBand returns sum_s 1/2|G+A|^2 |c_s|^2 for one band, used by

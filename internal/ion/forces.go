@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 	"ptdft/internal/parallel"
 	"ptdft/internal/pseudo"
 )
@@ -35,10 +36,8 @@ import (
 // position independent, so the force is unaffected. The per-atom G sum is
 // serial, making the result bit-reproducible across ranks and runs.
 func LocalForces(g *grid.Grid, pots map[int]*pseudo.Potential, rho []float64) [][3]float64 {
-	rhoG := make([]complex128, g.NDTot)
-	for i, r := range rho {
-		rhoG[i] = complex(r, 0)
-	}
+	rhoG := lanes.New(g.NDTot)
+	copy(rhoG.Re, rho)
 	g.DenseForward(rhoG, rhoG)
 	// One form-factor table per species, shared by its atoms.
 	ffs := map[int][]float64{}
@@ -71,7 +70,7 @@ func LocalForces(g *grid.Grid, pots map[int]*pseudo.Potential, rho []float64) []
 			ph := gv[0]*tau[0] + gv[1]*tau[1] + gv[2]*tau[2]
 			sn, cs := math.Sincos(-ph)
 			// z = conj(rho_G) e^{-iG.R_a}; F_d += Re[i G_d z] = -G_d Im[z].
-			im := real(rhoG[k])*sn - imag(rhoG[k])*cs
+			im := rhoG.Re[k]*sn - rhoG.Im[k]*cs
 			w := tab[k] * im
 			acc[0] -= gv[0] * w
 			acc[1] -= gv[1] * w

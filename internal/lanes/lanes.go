@@ -90,16 +90,6 @@ func Unpack(dst []complex128, src Slab) {
 	}
 }
 
-// UnpackAdd accumulates the slab into interleaved complex128 values.
-func UnpackAdd(dst []complex128, src Slab) {
-	re, im := src.Re, src.Im
-	_ = re[len(dst)-1]
-	_ = im[len(dst)-1]
-	for i := range dst {
-		dst[i] += complex(re[i], im[i])
-	}
-}
-
 // Scale multiplies every element by the real factor a.
 func Scale(s Slab, a float64) {
 	re, im := s.Re, s.Im

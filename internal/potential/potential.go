@@ -11,7 +11,9 @@ import (
 	"math"
 	"sync"
 
+	"ptdft/internal/fourier"
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 	"ptdft/internal/parallel"
 	"ptdft/internal/pseudo"
 	"ptdft/internal/xc"
@@ -29,7 +31,7 @@ type Energies struct {
 // set to zero (it cancels against the Hartree and ion-ion G = 0 terms for a
 // neutral cell; the constant shift does not affect dynamics).
 func BuildVloc(g *grid.Grid, pots map[int]*pseudo.Potential) []float64 {
-	coeff := make([]complex128, g.NDTot)
+	coeff := lanes.New(g.NDTot)
 	invOmega := 1 / g.Volume()
 	// Group atoms by species once.
 	bySpecies := map[int][][3]float64{}
@@ -43,7 +45,7 @@ func BuildVloc(g *grid.Grid, pots map[int]*pseudo.Potential) []float64 {
 				continue // G = 0 handled by convention
 			}
 			gv := g.GVecDense[k]
-			var acc complex128
+			var are, aim float64
 			for s, positions := range bySpecies {
 				pot, ok := pots[s]
 				if !ok {
@@ -57,77 +59,103 @@ func BuildVloc(g *grid.Grid, pots map[int]*pseudo.Potential) []float64 {
 					sre += c
 					sim += s
 				}
-				acc += complex(ff*sre, ff*sim)
+				are += ff * sre
+				aim += ff * sim
 			}
-			coeff[k] = acc * complex(invOmega, 0)
+			coeff.Re[k] = are * invOmega
+			coeff.Im[k] = aim * invOmega
 		}
 	})
-	field := make([]complex128, g.NDTot)
-	g.DenseInverse(field, coeff)
-	out := make([]float64, g.NDTot)
-	for i, v := range field {
-		out[i] = real(v)
-	}
-	return out
+	// The field is real: keep Re of the synthesis.
+	g.DenseInverse(coeff, coeff)
+	return coeff.Re
 }
 
 // Density accumulates the electron density rho(r) = occ * sum_i |psi_i(r)|^2
 // on the dense grid from sphere-coefficient bands (band-major, nb x NG).
 // occ is the orbital occupation (2 for spin-restricted).
+//
+// Bands go in waves of one band per worker: each worker turns its band into
+// |psi_i|^2 in its own box, then the wave's boxes are added into rho in band
+// order. Every point therefore sums bands 0, 1, ..., nb-1 in that order,
+// whatever the worker count or finishing order, so rho is bit-identical on
+// any core count - the SCF cache key, the split-equals-continuous
+// identities and every restart rely on this. The boxes come from a pool, so
+// the steady state allocates no dense grid per band.
 func Density(g *grid.Grid, bands []complex128, nb int, occ float64) []float64 {
-	rho := make([]float64, g.NDTot)
-	var mu sync.Mutex
-	parallel.For(nb, func(i int) {
-		box := make([]complex128, g.NDTot)
-		c := bands[i*g.NG : (i+1)*g.NG]
-		// Serial transform: the band loop supplies the parallelism.
-		for j := range box {
-			box[j] = 0
-		}
-		for s, k := range g.SphereIdxD {
-			box[k] = c[s]
-		}
-		g.PlanD.ApplySerial(box, box, true)
-		scale := float64(g.NDTot) / math.Sqrt(g.Volume())
-		local := make([]float64, g.NDTot)
-		for j, v := range box {
-			re := real(v) * scale
-			im := imag(v) * scale
-			local[j] = occ * (re*re + im*im)
-		}
-		mu.Lock()
-		for j := range rho {
-			rho[j] += local[j]
-		}
-		mu.Unlock()
-	})
+	n := g.NDTot
+	rho := make([]float64, n)
+	wss := make([]*bandScratch, parallel.NumWorkers(nb))
+	for w := range wss {
+		wss[w] = getBandScratch(g)
+	}
+	for b0 := 0; b0 < nb; b0 += len(wss) {
+		wave := wss[:min(len(wss), nb-b0)]
+		parallel.For(len(wave), func(k int) {
+			box := wave[k].box
+			i := b0 + k
+			g.ToRealDenseSlabWS(box, bands[i*g.NG:(i+1)*g.NG], wave[k].ws)
+			for j, re := range box.Re {
+				im := box.Im[j]
+				box.Re[j] = occ * (re*re + im*im)
+			}
+		})
+		parallel.ForBlock(n, func(lo, hi int) {
+			for _, sc := range wave {
+				d := sc.box.Re
+				for j := lo; j < hi; j++ {
+					rho[j] += d[j]
+				}
+			}
+		})
+	}
+	for _, sc := range wss {
+		bandPool.Put(sc)
+	}
 	return rho
+}
+
+// bandScratch is one worker's Density scratch: a dense box and the FFT
+// scratch of the plan it was built for.
+type bandScratch struct {
+	plan *fourier.Plan3
+	box  lanes.Slab
+	ws   *fourier.Workspace3
+}
+
+// bandPool recycles Density scratch. One process may serve several grids
+// (the job server runs specs of different sizes), so checkout drops
+// entries built for another grid.
+var bandPool sync.Pool // *bandScratch
+
+func getBandScratch(g *grid.Grid) *bandScratch {
+	if sc, ok := bandPool.Get().(*bandScratch); ok && sc.plan == g.PlanD {
+		return sc
+	}
+	return &bandScratch{plan: g.PlanD, box: lanes.New(g.NDTot), ws: g.PlanD.NewWorkspace()}
 }
 
 // Hartree solves the Poisson equation for the given density and returns the
 // Hartree potential on the dense grid together with the Hartree energy.
 // The G = 0 component is dropped (jellium compensation).
 func Hartree(g *grid.Grid, rho []float64) ([]float64, float64) {
-	work := make([]complex128, g.NDTot)
-	for i, r := range rho {
-		work[i] = complex(r, 0)
-	}
+	work := lanes.New(g.NDTot)
+	copy(work.Re, rho)
 	g.DenseForward(work, work)
 	parallel.ForBlock(g.NDTot, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			g2 := g.G2Dense[k]
 			if g2 < 1e-12 {
-				work[k] = 0
+				work.Re[k], work.Im[k] = 0, 0
 				continue
 			}
-			work[k] *= complex(4*math.Pi/g2, 0)
+			work.Re[k] *= 4 * math.Pi / g2
+			work.Im[k] *= 4 * math.Pi / g2
 		}
 	})
+	// The potential is real: keep Re of the synthesis.
 	g.DenseInverse(work, work)
-	vh := make([]float64, g.NDTot)
-	for i, v := range work {
-		vh[i] = real(v)
-	}
+	vh := work.Re
 	var eh float64
 	for i := range rho {
 		eh += vh[i] * rho[i]
@@ -136,24 +164,30 @@ func Hartree(g *grid.Grid, rho []float64) ([]float64, float64) {
 	return vh, eh
 }
 
+// xcChunk is the fixed block length of the XC energy sum. Partial sums over
+// consecutive blocks are folded in block order, so the energy does not
+// depend on how many workers computed the blocks.
+const xcChunk = 4096
+
 // XCPotential evaluates the semi-local exchange-correlation potential and
 // energy for the density. exScale attenuates the semi-local exchange when a
 // hybrid functional carries part of it through the Fock operator.
 func XCPotential(rho []float64, exScale, dv float64) ([]float64, float64) {
 	v := make([]float64, len(rho))
-	var mu sync.Mutex
-	var exc float64
-	parallel.ForBlock(len(rho), func(lo, hi int) {
+	part := make([]float64, (len(rho)+xcChunk-1)/xcChunk)
+	parallel.For(len(part), func(c int) {
 		var acc float64
-		for i := lo; i < hi; i++ {
+		for i := c * xcChunk; i < min((c+1)*xcChunk, len(rho)); i++ {
 			eps, pot := xc.LDA(rho[i], exScale)
 			v[i] = pot
 			acc += eps * rho[i]
 		}
-		mu.Lock()
-		exc += acc
-		mu.Unlock()
+		part[c] = acc
 	})
+	var exc float64
+	for _, p := range part {
+		exc += p
+	}
 	return v, exc * dv
 }
 
@@ -176,17 +210,11 @@ func SCFPotential(g *grid.Grid, rho, vloc []float64, exScale float64) ([]float64
 // RestrictToWave Fourier-truncates a dense-grid real potential onto the
 // wavefunction grid, where it is applied point-wise to orbitals.
 func RestrictToWave(g *grid.Grid, dense []float64) []float64 {
-	src := make([]complex128, g.NDTot)
-	for i, v := range dense {
-		src[i] = complex(v, 0)
-	}
-	dst := make([]complex128, g.NTot)
+	src := lanes.New(g.NDTot)
+	copy(src.Re, dense)
+	dst := lanes.New(g.NTot)
 	g.RestrictDenseToWave(dst, src)
-	out := make([]float64, g.NTot)
-	for i, v := range dst {
-		out[i] = real(v)
-	}
-	return out
+	return dst.Re
 }
 
 // IntegrateDensity returns the total electron count of a dense-grid density.

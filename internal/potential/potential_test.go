@@ -6,6 +6,7 @@ import (
 
 	"ptdft/internal/grid"
 	"ptdft/internal/lattice"
+	"ptdft/internal/parallel"
 	"ptdft/internal/pseudo"
 	"ptdft/internal/wavefunc"
 )
@@ -28,6 +29,42 @@ func TestDensityIntegratesToElectronCount(t *testing.T) {
 	for i, r := range rho {
 		if r < 0 {
 			t.Fatalf("negative density at %d: %g", i, r)
+		}
+	}
+}
+
+// TestDensityIndependentOfWorkers pins the band-order fold: the density
+// is bit-identical whether one worker or four transform the bands, on
+// every repeat.
+func TestDensityIndependentOfWorkers(t *testing.T) {
+	g := si8(t, 3)
+	nb := g.Cell.NumBands()
+	psi := wavefunc.Random(g, nb, 3)
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	want := Density(g, psi, nb, 2)
+	parallel.SetMaxWorkers(4)
+	for trial := 0; trial < 3; trial++ {
+		got := Density(g, psi, nb, 2)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: 4-worker density differs from 1-worker at %d: %v vs %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestXCEnergyIndependentOfWorkers: the XC energy folds fixed blocks in
+// block order, so it is bit-identical for any worker count.
+func TestXCEnergyIndependentOfWorkers(t *testing.T) {
+	g := si8(t, 3)
+	nb := g.Cell.NumBands()
+	rho := Density(g, wavefunc.Random(g, nb, 4), nb, 2)
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	_, want := XCPotential(rho, 1, g.DV())
+	for _, w := range []int{2, 3, 4} {
+		parallel.SetMaxWorkers(w)
+		if _, got := XCPotential(rho, 1, g.DV()); got != want {
+			t.Errorf("%d workers: XC energy %v, 1 worker %v", w, got, want)
 		}
 	}
 }

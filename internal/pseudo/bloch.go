@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 )
 
 // NonlocalBloch holds phase-twisted Kleinman-Bylander projectors for a
@@ -56,23 +57,28 @@ func BuildNonlocalBloch(g *grid.Grid, pots map[int]*Potential, k [3]float64) *No
 
 // Apply accumulates dst += sum_a D_a |beta_a><beta_a|u> for the
 // cell-periodic part u in real space on the wavefunction grid.
-func (nl *NonlocalBloch) Apply(dst, src []complex128) {
-	if len(dst) != nl.ng || len(src) != nl.ng {
+func (nl *NonlocalBloch) Apply(dst, src lanes.Slab) {
+	if dst.Len() != nl.ng || src.Len() != nl.ng {
 		panic("pseudo: NonlocalBloch.Apply buffer size mismatch")
 	}
 	for _, p := range nl.projs {
-		var acc complex128
+		// <beta|u> = sum conj(val) * u * dv
+		var are, aim float64
 		for k, ix := range p.idx {
-			// <beta|u> = sum conj(val) * u * dv
-			v := p.val[k]
-			acc += complex(real(v), -imag(v)) * src[ix]
+			vr, vi := real(p.val[k]), imag(p.val[k])
+			ur, ui := src.Re[ix], src.Im[ix]
+			are += vr*ur + vi*ui
+			aim += vr*ui - vi*ur
 		}
-		acc *= complex(nl.dv*p.d, 0)
-		if acc == 0 {
+		are *= nl.dv * p.d
+		aim *= nl.dv * p.d
+		if are == 0 && aim == 0 {
 			continue
 		}
 		for k, ix := range p.idx {
-			dst[ix] += p.val[k] * acc
+			vr, vi := real(p.val[k]), imag(p.val[k])
+			dst.Re[ix] += vr*are - vi*aim
+			dst.Im[ix] += vr*aim + vi*are
 		}
 	}
 }

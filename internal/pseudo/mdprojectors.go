@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"ptdft/internal/fourier"
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 	"ptdft/internal/parallel"
 )
 
@@ -68,30 +70,27 @@ func buildMD(g *grid.Grid, center [3]float64, spec ProjectorSpec) sparseProjecto
 	// independent of the center. Scaling here makes <beta|beta> = 1 exactly.
 	scale := 1 / math.Sqrt(norm)
 
-	box := make([]complex128, g.NTot)
-	sp := sparseProjector{
-		idx: make([]int32, g.NTot),
-		val: make([]float64, g.NTot),
-	}
+	sp := sparseProjector{idx: make([]int32, g.NTot)}
 	for i := range sp.idx {
 		sp.idx[i] = int32(i)
 	}
-	g.ToReal(box, c)
-	for i, v := range box {
-		sp.val[i] = real(v) * scale
+	// The synthesized fields are real: keep Re, scaled, as the projector.
+	ws := g.Plan.CheckoutWorkspace()
+	defer g.Plan.ReturnWorkspace(ws)
+	synth := func(c []complex128) []float64 {
+		box := lanes.New(g.NTot)
+		g.ToRealSlabWS(box, c, ws)
+		lanes.Scale(box, scale)
+		return box.Re
 	}
+	sp.val = synth(c)
 	cd := make([]complex128, ng)
 	for d := 0; d < 3; d++ {
 		for s := 0; s < ng; s++ {
 			// d/dR_d of e^{-iG.R} brings down -i G_d.
 			cd[s] = c[s] * complex(0, -g.GVec[s][d])
 		}
-		g.ToReal(box, cd)
-		gv := make([]float64, g.NTot)
-		for i, v := range box {
-			gv[i] = real(v) * scale
-		}
-		sp.grad[d] = gv
+		sp.grad[d] = synth(cd)
 	}
 	return sp
 }
@@ -127,32 +126,25 @@ func (nl *Nonlocal) Forces(dst [][3]float64, g *grid.Grid, psi []complex128, nb 
 	np := len(nl.projs)
 	// part[b*np+k] is band b's contribution through projector k.
 	part := make([][3]float64, nb*np)
-	parallel.For(nb, func(b int) {
-		box := make([]complex128, g.NTot)
-		g.ToRealSerial(box, psi[b*g.NG:(b+1)*g.NG])
+	type scratch struct {
+		box lanes.Slab
+		ws  *fourier.Workspace3
+	}
+	wss := make([]scratch, parallel.NumWorkers(nb))
+	for w := range wss {
+		wss[w] = scratch{lanes.New(g.NTot), g.Plan.NewWorkspace()}
+	}
+	parallel.ForWorker(nb, func(w, b int) {
+		box := wss[w].box
+		g.ToRealSlabWS(box, psi[b*g.NG:(b+1)*g.NG], wss[w].ws)
 		for k := range nl.projs {
 			p := &nl.projs[k]
-			var pre, pim float64
-			for j, ix := range p.idx {
-				v := box[ix]
-				pre += p.val[j] * real(v)
-				pim += p.val[j] * imag(v)
-			}
-			pre *= nl.dv
-			pim *= nl.dv
+			pre, pim := p.project(box, p.val)
 			var f [3]float64
 			for d := 0; d < 3; d++ {
-				gd := p.grad[d]
-				var qre, qim float64
-				for j, ix := range p.idx {
-					v := box[ix]
-					qre += gd[j] * real(v)
-					qim += gd[j] * imag(v)
-				}
-				qre *= nl.dv
-				qim *= nl.dv
-				// Re[conj(p) q]
-				f[d] = -2 * occ * p.d * (pre*qre + pim*qim)
+				qre, qim := p.project(box, p.grad[d])
+				// Re[conj(p) q], both overlaps carrying dv.
+				f[d] = -2 * occ * p.d * (pre*qre + pim*qim) * nl.dv * nl.dv
 			}
 			part[b*np+k] = f
 		}

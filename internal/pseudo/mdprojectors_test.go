@@ -44,8 +44,7 @@ func TestMDProjectorGradientMatchesFD(t *testing.T) {
 	g := grid.MustNew(cell, 3)
 	pots := map[int]*Potential{0: SiliconAH()}
 	psi := wavefunc.Random(g, 1, 5)
-	box := make([]complex128, g.NTot)
-	g.ToRealSerial(box, psi[:g.NG])
+	box := toReal(g, psi[:g.NG])
 
 	project := func(c *lattice.Cell) (re, im float64) {
 		nl := BuildNonlocalMD(grid.MustNew(c, 3), pots)
@@ -114,14 +113,12 @@ func TestMDProjectorApplyHermitian(t *testing.T) {
 	g := grid.MustNew(cell, 3)
 	nl := BuildNonlocalMD(g, map[int]*Potential{0: SiliconAH()})
 	psi := wavefunc.Random(g, 2, 7)
-	boxA := make([]complex128, g.NTot)
-	boxB := make([]complex128, g.NTot)
-	g.ToRealSerial(boxA, psi[:g.NG])
-	g.ToRealSerial(boxB, psi[g.NG:])
+	boxA := toReal(g, psi[:g.NG])
+	boxB := toReal(g, psi[g.NG:])
 	outA := make([]complex128, g.NTot)
 	outB := make([]complex128, g.NTot)
-	nl.Apply(outA, boxA)
-	nl.Apply(outB, boxB)
+	applyNL(nl, outA, boxA)
+	applyNL(nl, outB, boxB)
 	dv := complex(g.DVWave(), 0)
 	var ab, ba complex128
 	for i := range outA {
@@ -133,7 +130,7 @@ func TestMDProjectorApplyHermitian(t *testing.T) {
 	if d := math.Hypot(real(ab)-real(ba), imag(ab)+imag(ba)); d > 1e-10 {
 		t.Errorf("<a|V|b> = %v vs conj(<b|V|a>) = %v", ab, ba)
 	}
-	if e := nl.Energy(boxA); e < 0 {
+	if e := nl.Energy(slabOf(boxA)); e < 0 {
 		t.Errorf("positive-D channel produced negative energy %g", e)
 	}
 }

@@ -7,8 +7,34 @@ import (
 	"testing"
 
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 	"ptdft/internal/lattice"
 )
+
+// slabOf packs an interleaved real-space field into the slab layout the
+// projector operators read.
+func slabOf(x []complex128) lanes.Slab {
+	s := lanes.New(len(x))
+	lanes.Pack(s, x)
+	return s
+}
+
+// applyNL runs nl.Apply on interleaved fields: dst += V_nl src.
+func applyNL(nl *Nonlocal, dst, src []complex128) {
+	d := slabOf(dst)
+	nl.Apply(d, slabOf(src))
+	lanes.Unpack(dst, d)
+}
+
+// toReal synthesizes one band of sphere coefficients on the wavefunction
+// box, interleaved.
+func toReal(g *grid.Grid, c []complex128) []complex128 {
+	box := lanes.New(g.NTot)
+	g.ToRealSlabWS(box, c, g.Plan.NewWorkspace())
+	out := make([]complex128, g.NTot)
+	lanes.Unpack(out, box)
+	return out
+}
 
 func TestLocalFormFactorLimits(t *testing.T) {
 	p := SiliconAH()
@@ -57,8 +83,8 @@ func TestNonlocalHermitian(t *testing.T) {
 	}
 	va := make([]complex128, g.NTot)
 	vb := make([]complex128, g.NTot)
-	nl.Apply(va, a)
-	nl.Apply(vb, b)
+	applyNL(nl, va, a)
+	applyNL(nl, vb, b)
 	// <b|V a> == conj(<a|V b>) with the real-space inner product.
 	var ba, ab complex128
 	for i := range a {
@@ -80,13 +106,13 @@ func TestNonlocalEnergyMatchesApply(t *testing.T) {
 		a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	va := make([]complex128, g.NTot)
-	nl.Apply(va, a)
+	applyNL(nl, va, a)
 	var quad complex128
 	for i := range a {
 		quad += cmplx.Conj(a[i]) * va[i]
 	}
 	quad *= complex(g.DVWave(), 0)
-	e := nl.Energy(a)
+	e := nl.Energy(slabOf(a))
 	if math.Abs(real(quad)-e) > 1e-8*(1+math.Abs(e)) {
 		t.Errorf("energy %g != quadratic form %g", e, real(quad))
 	}
@@ -105,7 +131,7 @@ func TestNonlocalPositiveForPositiveD(t *testing.T) {
 		for i := range a {
 			a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		if e := nl.Energy(a); e < 0 {
+		if e := nl.Energy(slabOf(a)); e < 0 {
 			t.Fatalf("trial %d: energy %g < 0 for D > 0", trial, e)
 		}
 	}
@@ -166,8 +192,8 @@ func TestBandLimitedNonlocalHermitianAndNormalized(t *testing.T) {
 	}
 	va := make([]complex128, g.NTot)
 	vb := make([]complex128, g.NTot)
-	nl.Apply(va, a)
-	nl.Apply(vb, b)
+	applyNL(nl, va, a)
+	applyNL(nl, vb, b)
 	var ba, ab complex128
 	for i := range a {
 		ba += cmplx.Conj(b[i]) * va[i]
@@ -177,7 +203,7 @@ func TestBandLimitedNonlocalHermitianAndNormalized(t *testing.T) {
 		t.Error("band-limited nonlocal not Hermitian")
 	}
 	for trial := 0; trial < 3; trial++ {
-		if e := nl.Energy(a); e < 0 {
+		if e := nl.Energy(slabOf(a)); e < 0 {
 			t.Fatalf("band-limited energy %g < 0 for positive D", e)
 		}
 	}
@@ -196,8 +222,8 @@ func TestBandLimitedMatchesSampledLoosely(t *testing.T) {
 	for i := range src {
 		src[i] = 1
 	}
-	ea := a.Energy(src)
-	eb := b.Energy(src)
+	ea := a.Energy(slabOf(src))
+	eb := b.Energy(slabOf(src))
 	if math.Abs(ea-eb) > 0.05*(math.Abs(ea)+1e-12) {
 		t.Errorf("sampled vs band-limited energies differ too much: %g vs %g", ea, eb)
 	}

@@ -351,6 +351,17 @@ func TestE2ECancelAndErrors(t *testing.T) {
 		t.Errorf("unknown field: status %d code %s, want 400 bad_request", resp.StatusCode, code)
 	}
 
+	// Oversize body: a valid spec padded past the 1 MiB limit with JSON
+	// whitespace is rejected before it is decoded.
+	big := `{"cells":[1,1,1],` + strings.Repeat(" ", maxSpecBytes) + `"ecut":2,"steps":3}`
+	resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := apiError(t, resp); resp.StatusCode != http.StatusBadRequest || code != "bad_request" || !strings.Contains(msg, "too large") {
+		t.Errorf("oversize body: status %d code %s (%s), want 400 bad_request naming the size limit", resp.StatusCode, code, msg)
+	}
+
 	// Valid JSON, invalid simulation.
 	resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"cells":[1,1,1],"ecut":2,"steps":3,"mts":4}`))
 	if err != nil {

@@ -58,9 +58,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSpecBytes bounds a submitted request body. A valid sim.Spec is a few
+// hundred bytes; anything past 1 MiB is rejected before it is buffered.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec sim.Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decoding spec: %v", err))

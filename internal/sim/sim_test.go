@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ptdft/internal/observe"
+	"ptdft/internal/parallel"
 )
 
 // testSpec is the smallest real system: Si8, low cutoff, a short PT-CN
@@ -171,6 +172,32 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 	}
 	if maxd > 1e-10 {
 		t.Errorf("split and continuous orbitals differ by %g, want <= 1e-10", maxd)
+	}
+}
+
+// TestGroundStateRepeatsBitIdentical: two cold ground-state solves of one
+// spec and seed on two workers return bit-identical orbitals. This is the
+// SCF-cache contract (same key, same ground state) and the premise of
+// every split-equals-continuous identity on a multi-core host: reduction
+// order must not depend on which worker finishes first.
+func TestGroundStateRepeatsBitIdentical(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(2))
+	spec := testSpec()
+	a, err := GroundState(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := GroundState(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Psi) != len(b.Psi) {
+		t.Fatalf("psi length %d vs %d", len(a.Psi), len(b.Psi))
+	}
+	for i := range a.Psi {
+		if a.Psi[i] != b.Psi[i] {
+			t.Fatalf("repeat solve differs at %d: %v vs %v", i, a.Psi[i], b.Psi[i])
+		}
 	}
 }
 
