@@ -526,6 +526,36 @@ func BenchmarkRealPTCNStep(b *testing.B) {
 	}
 }
 
+// BenchmarkSCFHybrid is the kernel view of the hybrid ground-state cost:
+// one cold scf.GroundState (Si8, ecut 2, HSE, exact exchange, Defaults()
+// schedule) on a fresh Hamiltonian per op, recorded into BENCH_fock.json.
+// The eigensolver steps of each density iteration run on the exchange
+// compressed on the current iterate, so one exact V_X application per
+// iteration replaces the two per eigensolver step; the iteration count is
+// reported beside the wall time so the per-iteration saving can be read
+// off.
+func BenchmarkSCFHybrid(b *testing.B) {
+	cell := lattice.MustSiliconSupercell(1, 1, 1)
+	g := grid.MustNew(cell, 2)
+	nb := cell.NumBands()
+	cfg := hamiltonian.Config{Hybrid: true, Params: xc.HSE06()}
+	iters := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h := hamiltonian.New(g, siPots(), cfg)
+		b.StartTimer()
+		res, err := scf.GroundState(g, h, nb, scf.Defaults())
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters = res.SCFIterations
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(iters), "scf-iters")
+	recordBench(b, g, nb, -1)
+}
+
 // Ablation: the three exchange communication strategies of section 3.2
 // (sequential broadcast, overlapped broadcast, round-robin) and the
 // single-precision payload option, on real distributed executions.

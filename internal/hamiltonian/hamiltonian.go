@@ -46,6 +46,12 @@ type Hamiltonian struct {
 	fockOp    *fock.Operator
 	ace       *fock.ACE
 	useACE    bool // ACE requested; the active operator is ACEActive()
+	// iterACE is a caller-built compression of the exact operator on the
+	// eigensolver's current iterate (SetIterateACE): while set and the
+	// requested ACE is not active, Apply runs it in place of the exact
+	// term. It is not part of the configured operator - ACEActive,
+	// ACEFallbacks and TotalEnergy never see it.
+	iterACE *fock.ACE
 
 	// ACE fallback bookkeeping: when the compression fails for one
 	// reference set (degenerate orbitals), that refresh falls back to the
@@ -283,6 +289,17 @@ func (h *Hamiltonian) FrozenFockRef() []complex128 {
 // reference set).
 func (h *Hamiltonian) ACEActive() bool { return h.hybrid && h.useACE && h.ace != nil }
 
+// SetIterateACE makes Apply run the exchange through a, a compression of
+// the current exact operator built by the caller (fock.NewACE on the
+// vectors it is about to act on), instead of the nb Poisson solves per
+// band. The ground-state SCF sets it for the eigensolver steps of one
+// density iteration and clears it with ClearIterateACE; it has no effect
+// while the configured ACE is active.
+func (h *Hamiltonian) SetIterateACE(a *fock.ACE) { h.iterACE = a }
+
+// ClearIterateACE returns Apply to the configured exchange operator.
+func (h *Hamiltonian) ClearIterateACE() { h.iterACE = nil }
+
 // ACEFallbacks reports how many exchange refreshes fell back to the exact
 // operator because the ACE construction failed, and the error of the most
 // recent refresh (nil when the current operator is the compression). Users
@@ -368,11 +385,14 @@ func (h *Hamiltonian) Apply(dst, src []complex128, nb int) {
 	if len(dst) != nb*ng || len(src) != nb*ng {
 		panic("hamiltonian: Apply buffer size mismatch")
 	}
-	aceActive := h.ACEActive()
+	ace := h.iterACE
+	if h.ACEActive() {
+		ace = h.ace
+	}
 	// A failed ACE build (h.ace == nil despite useACE) must still apply
 	// the exact operator: the fallback downgrades, never drops, the
 	// exchange.
-	fockReal := h.hybrid && h.fockOp != nil && !aceActive
+	fockReal := h.hybrid && h.fockOp != nil && ace == nil
 	fused := fockReal && h.fockOp.IsReference(src, nb)
 	nw := parallel.NumWorkers(nb)
 	wss := h.scratch.Acquire(nw)
@@ -390,8 +410,8 @@ func (h *Hamiltonian) Apply(dst, src []complex128, nb int) {
 	if fused {
 		h.fockOp.ApplyToReference(dst)
 	}
-	if aceActive {
-		h.ace.Apply(dst, src, nb)
+	if ace != nil {
+		ace.Apply(dst, src, nb)
 	}
 }
 

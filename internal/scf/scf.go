@@ -4,6 +4,21 @@
 // wrapped in a density self-consistency loop with Anderson mixing, plus an
 // outer fixed-point loop over the Fock exchange operator for hybrid
 // functionals (the standard nested-SCF structure of hybrid DFT).
+//
+// Within a hybrid phase the exchange operator is V_X[Phi_k], fixed on the
+// phase's reference orbitals Phi_k. Each density iteration applies it
+// exactly once, to the current iterate psi, and compresses it there
+// (adaptively compressed exchange, fock.NewACE): -Xi Xi^H with
+// Xi = (V_X psi) L^{-H}, -psi^H V_X psi = L L^H. The eigensolver steps of
+// the iteration then apply H psi, H w and any retry through the
+// compression - nb dot products per band instead of nb Poisson solves.
+// The compression reproduces V_X[Phi_k] exactly on span(psi), so where
+// the inner loop converges (psi stationary) the steps see the exact
+// operator and each phase lands on the exact operator's fixed point.
+// Compressing on Phi_k instead (the UseACE Hamiltonian, the propagation
+// device) is exact only on span(Phi_k): the trial vectors leave that
+// span, so every phase converges to a different inner fixed point - 7.9e-5
+// Ha off after four phases on Si8 - and the hybrid answer moves.
 package scf
 
 import (
@@ -11,6 +26,7 @@ import (
 	"fmt"
 	"math"
 
+	"ptdft/internal/fock"
 	"ptdft/internal/grid"
 	"ptdft/internal/hamiltonian"
 	"ptdft/internal/linalg"
@@ -22,13 +38,17 @@ import (
 
 // Options control the ground-state solve.
 type Options struct {
-	MaxSCF      int     // density SCF iterations per Fock phase
-	TolDensity  float64 // density convergence (per electron)
-	EigIters    int     // eigensolver steps per SCF iteration
-	MixHistory  int     // Anderson history for density mixing
-	MixBeta     float64 // Anderson relaxation
-	HybridOuter int     // Fock operator refresh cycles (hybrid only)
-	Seed        int64   // initial wavefunction seed
+	MaxSCF     int     // density SCF iterations per Fock phase
+	TolDensity float64 // density convergence (per electron)
+	EigIters   int     // eigensolver steps per SCF iteration
+	MixHistory int     // Anderson history for density mixing
+	MixBeta    float64 // Anderson relaxation
+	// HybridOuter is the number of Fock operator refresh cycles (hybrid
+	// only). The outer loop is not run to its own convergence: on Si8 at
+	// ecut 3 with HSE, the Defaults() 4 phases stop 8.4e-5 Ha above the
+	// outer fixed point (-0.9859094 Ha), which takes 12 or more phases.
+	HybridOuter int
+	Seed        int64 // initial wavefunction seed
 	Logf        func(format string, args ...any)
 }
 
@@ -98,12 +118,9 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 		}
 		var lastErr float64
 		for it := 0; it < iters; it++ {
-			for e := 0; e < opt.EigIters; e++ {
-				var err error
-				psi, err = eigStep(g, h, psi, nb)
-				if err != nil {
-					return nil, fmt.Errorf("scf: eigensolver failed at iteration %d: %w", it, err)
-				}
+			var err error
+			if psi, err = relaxBands(g, h, psi, nb, opt.EigIters, logf); err != nil {
+				return nil, fmt.Errorf("scf: eigensolver failed at iteration %d: %w", it, err)
 			}
 			rhoOut := potential.Density(g, psi, nb, occ)
 			lastErr = potential.DensityDiff(g, rhoOut, rho, nelec)
@@ -150,6 +167,30 @@ func DiagonalizeFixed(g *grid.Grid, h *hamiltonian.Hamiltonian, nb, iters int, s
 		}
 	}
 	return h.BandEnergies(psi, nb), psi, nil
+}
+
+// relaxBands runs the steps eigensolver updates of one density iteration.
+// On the exact exchange it first compresses V_X[Phi_k] on psi (one exact
+// application; see the package comment) and the steps apply H through the
+// compression. A degenerate psi (failed Cholesky) runs the steps on the
+// exact operator.
+func relaxBands(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb, steps int, logf func(string, ...any)) ([]complex128, error) {
+	if op := h.FockOperator(); h.Hybrid() && op != nil && !h.ACEActive() {
+		ace, err := fock.NewACE(op, psi, nb)
+		if err != nil {
+			logf("scf: iterate compression failed, exact exchange this iteration: %v", err)
+		} else {
+			h.SetIterateACE(ace)
+			defer h.ClearIterateACE()
+		}
+	}
+	for e := 0; e < steps; e++ {
+		var err error
+		if psi, err = eigStep(g, h, psi, nb); err != nil {
+			return nil, err
+		}
+	}
+	return psi, nil
 }
 
 // sanitizeDensity clips negative regions introduced by the mixer and

@@ -420,6 +420,43 @@ func TestE2ECancelAndErrors(t *testing.T) {
 	}
 }
 
+// TestE2EAdmissionRefusesOversizeSpec: a spec whose estimated working set
+// is past the admission limit is refused with the typed 422 invalid_spec
+// at submission - no job is created and no ground state is built - while
+// the Si8 specs the daemon serves (the LDA kick and Ehrenfest MD jobs of
+// the benchmark's mixed traffic, and a hybrid 2-rank run) stay two
+// orders of magnitude below the limit.
+func TestE2EAdmissionRefusesOversizeSpec(t *testing.T) {
+	s, ts := startE2E(t, Config{Workers: 1})
+	for _, body := range []string{
+		`{"cells":[64,64,64],"ecut":2,"steps":3}`,
+		`{"cells":[1,1,1],"ecut":1e6,"steps":3}`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, msg := apiError(t, resp); resp.StatusCode != http.StatusUnprocessableEntity || code != "invalid_spec" || !strings.Contains(msg, "admission limit") {
+			t.Errorf("%s: status %d code %s (%s), want 422 invalid_spec naming the admission limit", body, resp.StatusCode, code, msg)
+		}
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Errorf("refused specs created %d jobs", len(jobs))
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Errorf("refused specs built %d ground states", n)
+	}
+
+	lda := sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3, Steps: 8, Kick: 0.02}
+	md := sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3, MD: true, IonSteps: 8, IonDtAs: 48, DtAs: 24, Displace: "0:0.2,0,0"}
+	hyb := sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3, Hybrid: true, ACE: true, MTS: 2, Ranks: 2, Steps: 32, Kick: 0.02}
+	for _, spec := range []sim.Spec{lda, md, hyb} {
+		if b := spec.WorkingSetBytes(); b > maxJobBytes/100 {
+			t.Errorf("%+v: estimated %.3g B, want far below the %d B limit", spec, b, maxJobBytes)
+		}
+	}
+}
+
 // TestE2ERestartResumesRealJob: drain a server mid-trajectory, start a
 // new one on the same directory, and the adopted job completes with the
 // uninterrupted result to 1e-10.

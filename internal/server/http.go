@@ -76,8 +76,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining", err.Error())
 		return
 	case err != nil:
-		// Validation failures: the spec parsed but describes no runnable
-		// simulation.
+		// Validation and admission failures: the spec parsed but
+		// describes no runnable simulation, or one too large to admit.
 		writeError(w, http.StatusUnprocessableEntity, "invalid_spec", err.Error())
 		return
 	}

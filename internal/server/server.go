@@ -119,8 +119,13 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Submit validates and enqueues a job, returning its queued view.
+// Submit admits, validates and enqueues a job, returning its queued view.
 func (s *Server) Submit(spec sim.Spec) (View, error) {
+	// Admission runs first: a spec too large to hold is refused before
+	// Validate builds its cell.
+	if b := spec.WorkingSetBytes(); b > maxJobBytes {
+		return View{}, fmt.Errorf("server: spec needs an estimated %.3g GiB working set, over the %d GiB admission limit", b/(1<<30), maxJobBytes>>30)
+	}
 	if err := spec.Validate(); err != nil {
 		return View{}, err
 	}
@@ -147,6 +152,12 @@ func (s *Server) Submit(spec sim.Spec) (View, error) {
 	s.logf("job %s queued: %d steps, ranks=%d, md=%v", j.ID, spec.TotalSteps(), spec.Ranks, spec.MD)
 	return v, nil
 }
+
+// maxJobBytes is the admission limit on a job's estimated working set
+// (sim.Spec.WorkingSetBytes). It is deliberately not configurable: it
+// keeps one request from taking the daemon down; the Si8 specs the
+// server is built for estimate to a few MB.
+const maxJobBytes = 8 << 30
 
 // errDraining rejects submissions during shutdown.
 var errDraining = fmt.Errorf("server: draining, not accepting jobs")

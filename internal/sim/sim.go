@@ -194,6 +194,35 @@ func (s *Spec) Cell() (*lattice.Cell, error) {
 	return cell, nil
 }
 
+// workingSetFactor is the number of nb x NG complex128 blocks a run holds
+// at its peak, per rank: the orbitals, the eigensolver's expanded basis
+// and its H image, the PT-CN Anderson history of trial orbitals, the
+// exchange reference and accumulators in real space (the box holds about
+// twice the sphere), and the ACE projectors - with headroom.
+const workingSetFactor = 64
+
+// WorkingSetBytes estimates the memory a run of the spec needs, without
+// building its cell or grid: NG x bands x max(ranks, 1) x 16 B x
+// workingSetFactor, with NG the plane waves inside the cutoff sphere,
+// Omega (2 ecut)^(3/2) / (6 pi^2). A spec whose cells or cutoff do not
+// validate estimates to 0 (Validate reports it).
+func (s *Spec) WorkingSetBytes() float64 {
+	n := 1.0
+	for _, c := range s.Cells {
+		if c < 1 {
+			return 0
+		}
+		n *= float64(c)
+	}
+	if s.Ecut <= 0 {
+		return 0
+	}
+	unit := lattice.MustSiliconSupercell(1, 1, 1)
+	ng := n * unit.Volume() * math.Pow(2*s.Ecut, 1.5) / (6 * math.Pi * math.Pi)
+	nb := n * float64(unit.NumBands())
+	return ng * nb * float64(max(s.Ranks, 1)) * 16 * workingSetFactor
+}
+
 // System builds the cell, wavefunction grid and band count of the spec.
 func (s *Spec) System() (*lattice.Cell, *grid.Grid, int, error) {
 	cell, err := s.Cell()

@@ -281,3 +281,28 @@ func TestRunStopAndStream(t *testing.T) {
 		t.Errorf("final state step %d, want 4", res.Final.Step)
 	}
 }
+
+// TestWorkingSetBytesTracksGrid: the admission estimate's plane-wave count
+// (the cutoff-sphere volume) stays within 10% of the NG the grid actually
+// builds, and the estimate scales with the cell count and the rank count.
+func TestWorkingSetBytesTracksGrid(t *testing.T) {
+	for _, ecut := range []float64{2, 3, 10} {
+		s := Spec{Cells: [3]int{1, 1, 1}, Ecut: ecut}
+		_, g, nb, err := s.System()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ng := s.WorkingSetBytes() / float64(nb*16*workingSetFactor)
+		if r := ng / float64(g.NG); math.Abs(r-1) > 0.1 {
+			t.Errorf("ecut %g: estimated NG %.0f vs grid NG %d", ecut, ng, g.NG)
+		}
+	}
+	one := Spec{Cells: [3]int{1, 1, 1}, Ecut: 3}
+	big := Spec{Cells: [3]int{2, 1, 1}, Ecut: 3, Ranks: 2}
+	if r := big.WorkingSetBytes() / one.WorkingSetBytes(); math.Abs(r-8) > 1e-9 {
+		t.Errorf("2 cells on 2 ranks estimate %.6gx one cell, want 8x (NG, bands and ranks each double)", r)
+	}
+	if b := (&Spec{Cells: [3]int{0, 1, 1}, Ecut: 3}).WorkingSetBytes(); b != 0 {
+		t.Errorf("invalid cells estimate %g, want 0", b)
+	}
+}
