@@ -11,6 +11,7 @@ package ptdft_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -278,6 +279,35 @@ func recordBench(b *testing.B, g *grid.Grid, nb int, allocsPerOp float64) {
 	}
 }
 
+// recordFFTBench is recordBench for a benchmark whose op is `transforms`
+// 3D transforms of an nx x ny x nz box: it also reports and records the
+// achieved rate as Metrics["gflops"], from the nominal 5 N log2(N) flops
+// of one full complex transform of N points. A pruned transform is
+// credited the full count, so the number is effective GFLOP/s: the rate a
+// full transform would need to finish in the same time.
+func recordFFTBench(b *testing.B, g *grid.Grid, nb int, box [3]int, transforms float64, allocsPerOp float64) {
+	b.Helper()
+	if b.N == 0 {
+		return
+	}
+	nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	n := float64(box[0] * box[1] * box[2])
+	gflops := transforms * 5 * n * math.Log2(n) / nsPerOp
+	b.ReportMetric(gflops, "GFLOP/s")
+	if err := perf.RecordBench(perf.DefaultBenchPath("BENCH_fock.json"), perf.BenchRecord{
+		Name:        b.Name(),
+		Label:       perf.BenchLabel(),
+		NsPerOp:     nsPerOp,
+		AllocsPerOp: allocsPerOp,
+		Grid:        g.N,
+		NB:          nb,
+		Workers:     parallel.MaxWorkers(),
+		Metrics:     map[string]float64{"gflops": gflops},
+	}); err != nil {
+		b.Logf("bench record not written: %v", err)
+	}
+}
+
 // processAllocs returns the process-wide heap allocation count (the Mallocs
 // delta across all goroutines) incurred by one execution of fn. Used for
 // ops that fan out across rank goroutines, where the per-goroutine view of
@@ -390,9 +420,9 @@ func BenchmarkFockEnergy(b *testing.B) {
 }
 
 // BenchmarkFFTPoissonSolve times one fused Poisson round trip on the
-// wavefunction box - the atom the nb^2 exchange cost is built from. Since
-// PR 8 the production solve runs over the lane-blocked SoA layout
-// (PoissonSlabWS); this measures exactly that path.
+// wavefunction box - the atom the nb^2 exchange cost is built from: the
+// production solve's lane-blocked path (PoissonSlabWS). One op is two
+// transforms for the GFLOP/s metric.
 func BenchmarkFFTPoissonSolve(b *testing.B) {
 	g, psi, nb := fixture(b)
 	kernel := fock.BuildKernel(g, xc.HSE06())
@@ -406,7 +436,7 @@ func BenchmarkFFTPoissonSolve(b *testing.B) {
 	}
 	b.StopTimer()
 	allocs := testing.AllocsPerRun(1, func() { g.Plan.PoissonSlabWS(buf, kernel, ws) })
-	recordBench(b, g, nb, allocs)
+	recordFFTBench(b, g, nb, g.N, 2, allocs)
 }
 
 // BenchmarkFFTSerial3D times one serial 3D transform of the wavefunction
@@ -424,7 +454,24 @@ func BenchmarkFFTSerial3D(b *testing.B) {
 	}
 	b.StopTimer()
 	allocs := testing.AllocsPerRun(1, func() { g.Plan.RawSlabWS(dst, src, false, ws) })
-	recordBench(b, g, 1, allocs)
+	recordFFTBench(b, g, 1, g.N, 1, allocs)
+}
+
+// BenchmarkFFTDense3D times one band's sphere -> dense-box synthesis
+// (ToRealDenseSlabWS), the inner transform of potential.Density: zero the
+// box, scatter the sphere, and the pruned inverse transform.
+func BenchmarkFFTDense3D(b *testing.B) {
+	g, psi, _ := fixture(b)
+	box := lanes.New(g.NDTot)
+	ws := g.PlanD.NewWorkspace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.ToRealDenseSlabWS(box, psi[:g.NG], ws)
+	}
+	b.StopTimer()
+	allocs := testing.AllocsPerRun(1, func() { g.ToRealDenseSlabWS(box, psi[:g.NG], ws) })
+	recordFFTBench(b, g, 1, g.ND, 1, allocs)
 }
 
 func BenchmarkRealACEApply(b *testing.B) {

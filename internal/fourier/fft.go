@@ -10,6 +10,23 @@
 // density and potentials all of their grid transforms, through these
 // passes.
 //
+// Butterflies: radix 2, 3 and 4 have their own combines and other primes
+// up to maxDirectRadix an O(r^2) generic one. Radix 3 runs in closed form
+// (X0 = a+s, X1,2 = a - s/2 ± i*sqrt(3)/2*d with s = x+y, d = x-y) and
+// radix 4 rotates by ∓i with a swap and a sign, so neither multiplies by
+// tabulated roots. Two rules cut the rest: the k = 0 column and the q = 0
+// row of every twiddle table are exactly 1, so those multiplies are
+// skipped; and the last recursion level (m = 1) copies its r leaves inline
+// instead of recursing once per leaf.
+//
+// Pruning: a transform with one end on a cutoff sphere (PrunedSlabWS, the
+// grid package's sphere <-> box transforms) runs its z pass only on the
+// rows and its y pass only on the x planes listed in a Support, the rows
+// and planes that hold sphere points. The passes it skips would transform
+// all-zero pencils (to zero) or produce pencils nobody reads, and the
+// lanes of a pass never mix, so the result equals the full transform bit
+// for bit.
+//
 // Conventions: the forward transform computes X[k] = sum_j x[j]
 // exp(-2*pi*i*j*k/N); the inverse uses exp(+2*pi*i*j*k/N). Both are
 // unnormalized - callers fold the 1/N into their own pointwise scaling.

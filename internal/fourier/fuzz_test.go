@@ -23,18 +23,20 @@ func FuzzLaneVsNaive(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(8), uint8(4), int64(1))
 	f.Add(uint8(8), uint8(9), uint8(10), uint8(3), int64(2))
 	f.Add(uint8(5), uint8(7), uint8(3), uint8(1), int64(3))
-	f.Add(uint8(4), uint8(67), uint8(3), uint8(2), int64(4)) // Bluestein axis: 67 is prime
-	f.Add(uint8(1), uint8(16), uint8(5), uint8(6), int64(5)) // single-pencil x, lane-multiple y
-	f.Add(uint8(13), uint8(2), uint8(9), uint8(5), int64(6)) // 13 and 9: no lane multiple anywhere
-	f.Add(uint8(31), uint8(4), uint8(4), uint8(2), int64(7)) // Bluestein axis: 31 is prime
-	f.Add(uint8(3), uint8(3), uint8(3), uint8(1), int64(8))  // smaller than one lane group
+	f.Add(uint8(4), uint8(67), uint8(3), uint8(2), int64(4))            // Bluestein axis: 67 is prime
+	f.Add(uint8(1), uint8(16), uint8(5), uint8(6), int64(5))            // single-pencil x, lane-multiple y
+	f.Add(uint8(13), uint8(2), uint8(9), uint8(5), int64(6))            // 13 and 9: no lane multiple anywhere
+	f.Add(uint8(31), uint8(4), uint8(4), uint8(2), int64(7))            // Bluestein axis: 31 is prime
+	f.Add(uint8(3), uint8(3), uint8(3), uint8(1), int64(8))             // smaller than one lane group
+	f.Add(uint8(9-1), uint8(9-1), uint8(9-1), uint8(2-1), int64(9))     // 9x9x9, nb 2: the Si8 wavefunction box at 3 Ha
+	f.Add(uint8(18-1), uint8(18-1), uint8(18-1), uint8(1-1), int64(10)) // 18x18x18, nb 1: the Si8 dense box at 3 Ha
 	f.Fuzz(func(t *testing.T, bx, by, bz, bnb uint8, seed int64) {
 		nx := 1 + int(bx)%67
 		ny := 1 + int(by)%67
 		nz := 1 + int(bz)%67
 		nb := 1 + int(bnb)%6
 		n := nx * ny * nz
-		if n > 5000 {
+		if n > 18*18*18 { // the dense box of the production Si8 workloads
 			t.Skip("grid too large for a fuzz iteration")
 		}
 		p := MustPlan3(nx, ny, nz)

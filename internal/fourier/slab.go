@@ -31,16 +31,21 @@ func (p *Plan3) checkSlab(s lanes.Slab, what string) {
 	}
 }
 
-// zPassSlab transforms along z, src -> dst (which may be the same slab).
-func (p *Plan3) zPassSlab(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
+// zPassSlab transforms along z, src -> dst (which may be the same slab),
+// on the rows (ix*Ny + iy) listed in rows, or on every row when rows is
+// nil. Unlisted rows of dst are left as they are.
+func (p *Plan3) zPassSlab(dst, src lanes.Slab, rows []int, inverse bool, ws *Workspace3) {
 	nz := p.nz
-	rows := p.nx * p.ny
+	nrows := p.nx * p.ny
+	if rows != nil {
+		nrows = len(rows)
+	}
 	lu := ws.lu.Slice(0, nz*lw)
 	lv := ws.lv.Slice(0, nz*lw)
-	for r0 := 0; r0 < rows; r0 += lw {
-		L := min(lw, rows-r0)
+	for r0 := 0; r0 < nrows; r0 += lw {
+		L := min(lw, nrows-r0)
 		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
+			base := rowBase(rows, r0+l, nz)
 			rre := src.Re[base : base+nz]
 			rim := src.Im[base : base+nz]
 			for k := 0; k < nz; k++ {
@@ -51,7 +56,7 @@ func (p *Plan3) zPassSlab(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
 		zeroTailLanes(lu, nz, L)
 		p.pz.transformLanes(lv, lu, inverse, ws.wsz)
 		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
+			base := rowBase(rows, r0+l, nz)
 			rre := dst.Re[base : base+nz]
 			rim := dst.Im[base : base+nz]
 			for k := 0; k < nz; k++ {
@@ -60,6 +65,15 @@ func (p *Plan3) zPassSlab(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
 			}
 		}
 	}
+}
+
+// rowBase returns the offset of the i-th z row of a pass: rows[i] when a
+// row list is given, row i otherwise.
+func rowBase(rows []int, i, nz int) int {
+	if rows != nil {
+		i = rows[i]
+	}
+	return i * nz
 }
 
 // zeroTailLanes clears lanes [L, Width) of an n-element lane block.
@@ -83,8 +97,8 @@ func gatherStrided(b lanes.Slab, src lanes.Slab, off, n, stride, L int) {
 	if L == lw {
 		for k := 0; k < n; k++ {
 			o := off + k*stride
-			*(*[lw]float64)(b.Re[k*lw:]) = *(*[lw]float64)(src.Re[o:])
-			*(*[lw]float64)(b.Im[k*lw:]) = *(*[lw]float64)(src.Im[o:])
+			copyLane((*[lw]float64)(b.Re[k*lw:]), (*[lw]float64)(src.Re[o:]))
+			copyLane((*[lw]float64)(b.Im[k*lw:]), (*[lw]float64)(src.Im[o:]))
 		}
 		return
 	}
@@ -106,8 +120,8 @@ func scatterStrided(dst lanes.Slab, b lanes.Slab, off, n, stride, L int) {
 	if L == lw {
 		for k := 0; k < n; k++ {
 			o := off + k*stride
-			*(*[lw]float64)(dst.Re[o:]) = *(*[lw]float64)(b.Re[k*lw:])
-			*(*[lw]float64)(dst.Im[o:]) = *(*[lw]float64)(b.Im[k*lw:])
+			copyLane((*[lw]float64)(dst.Re[o:]), (*[lw]float64)(b.Re[k*lw:]))
+			copyLane((*[lw]float64)(dst.Im[o:]), (*[lw]float64)(b.Im[k*lw:]))
 		}
 		return
 	}
@@ -120,12 +134,20 @@ func scatterStrided(dst lanes.Slab, b lanes.Slab, off, n, stride, L int) {
 	}
 }
 
-// yPassSlab transforms along y (stride nz) in place.
-func (p *Plan3) yPassSlab(dst lanes.Slab, inverse bool, ws *Workspace3) {
+// yPassSlab transforms along y (stride nz) in place, on the x planes
+// listed in planes, or on every plane when planes is nil.
+func (p *Plan3) yPassSlab(dst lanes.Slab, planes []int, inverse bool, ws *Workspace3) {
 	nx, ny, nz := p.nx, p.ny, p.nz
+	if planes != nil {
+		nx = len(planes)
+	}
 	lu := ws.lu.Slice(0, ny*lw)
 	lv := ws.lv.Slice(0, ny*lw)
-	for ix := 0; ix < nx; ix++ {
+	for i := 0; i < nx; i++ {
+		ix := i
+		if planes != nil {
+			ix = planes[i]
+		}
 		base := ix * ny * nz
 		for iz0 := 0; iz0 < nz; iz0 += lw {
 			L := min(lw, nz-iz0)
@@ -136,15 +158,16 @@ func (p *Plan3) yPassSlab(dst lanes.Slab, inverse bool, ws *Workspace3) {
 	}
 }
 
-// xPassSlab transforms along x (stride ny*nz) in place.
-func (p *Plan3) xPassSlab(dst lanes.Slab, inverse bool, ws *Workspace3) {
+// xPassSlab transforms along x (stride ny*nz), src -> dst (which may be
+// the same slab).
+func (p *Plan3) xPassSlab(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
 	nx, ny, nz := p.nx, p.ny, p.nz
 	stride := ny * nz
 	lu := ws.lu.Slice(0, nx*lw)
 	lv := ws.lv.Slice(0, nx*lw)
 	for r0 := 0; r0 < stride; r0 += lw {
 		L := min(lw, stride-r0)
-		gatherStrided(lu, dst, r0, nx, stride, L)
+		gatherStrided(lu, src, r0, nx, stride, L)
 		p.px.transformLanes(lv, lu, inverse, ws.wsx)
 		scatterStrided(dst, lv, r0, nx, stride, L)
 	}
@@ -191,13 +214,49 @@ func (p *Plan3) xPassKernelSlab(buf lanes.Slab, kernel []float64, ws *Workspace3
 
 // RawSlabWS runs one unnormalized transform over a grid slab (no 1/N on
 // the inverse): callers fold the normalization into their own pointwise
-// scaling. dst and src may be the same slab.
+// scaling. dst and src may be the same slab. It is the transform of
+// PrunedSlabWS with nothing pruned.
 func (p *Plan3) RawSlabWS(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
 	p.checkSlab(dst, "dst")
 	p.checkSlab(src, "src")
-	p.zPassSlab(dst, src, inverse, ws)
-	p.yPassSlab(dst, inverse, ws)
-	p.xPassSlab(dst, inverse, ws)
+	p.raw(dst, src, inverse, Support{}, ws)
+}
+
+// Support lists where the G-space side of a transform lives in a box: the
+// z rows (ix*Ny + iy) and the x planes (ix) that hold at least one
+// nonzero coefficient, each ascending and duplicate-free; nil lists mean
+// every row or plane. A cutoff sphere fills only a few rows and planes of
+// the dense box (49 of 324 rows, 9 of 18 planes for Si8 at 3 Ha).
+type Support struct {
+	Rows, Planes []int
+}
+
+// PrunedSlabWS is RawSlabWS in place on a slab whose G-space side lives on
+// sup. The inverse (G -> r) takes buf zero outside sup.Rows and runs the z
+// pass on sup.Rows, the y pass on sup.Planes and the x pass on the whole
+// box; the forward (r -> G) runs x on the whole box, y on sup.Planes and z
+// on sup.Rows, and leaves only those rows meaningful. A skipped pencil is
+// either zero, whose transform is zero, or never read, and every lane of a
+// pass is transformed on its own, so the values that matter equal those
+// of RawSlabWS exactly.
+func (p *Plan3) PrunedSlabWS(buf lanes.Slab, inverse bool, sup Support, ws *Workspace3) {
+	p.checkSlab(buf, "buf")
+	p.raw(buf, buf, inverse, sup, ws)
+}
+
+// raw runs the three axis passes of one transform, from the G-space end:
+// the inverse z, y, x and the forward x, y, z, so the pruned passes are
+// the ones that touch G space.
+func (p *Plan3) raw(dst, src lanes.Slab, inverse bool, sup Support, ws *Workspace3) {
+	if inverse {
+		p.zPassSlab(dst, src, sup.Rows, true, ws)
+		p.yPassSlab(dst, sup.Planes, true, ws)
+		p.xPassSlab(dst, dst, true, ws)
+		return
+	}
+	p.xPassSlab(dst, src, false, ws)
+	p.yPassSlab(dst, sup.Planes, false, ws)
+	p.zPassSlab(dst, dst, sup.Rows, false, ws)
 }
 
 // PoissonSlabWS is the fused Poisson round trip over a grid slab:
@@ -213,11 +272,11 @@ func (p *Plan3) PoissonSlabWS(buf lanes.Slab, kernel []float64, ws *Workspace3) 
 	if len(kernel) != p.Size() {
 		panic(fmt.Sprintf("fourier: Poisson kernel length %d != grid %d", len(kernel), p.Size()))
 	}
-	p.zPassSlab(buf, buf, false, ws)
-	p.yPassSlab(buf, false, ws)
+	p.zPassSlab(buf, buf, nil, false, ws)
+	p.yPassSlab(buf, nil, false, ws)
 	p.xPassKernelSlab(buf, kernel, ws)
-	p.yPassSlab(buf, true, ws)
-	p.zPassSlab(buf, buf, true, ws)
+	p.yPassSlab(buf, nil, true, ws)
+	p.zPassSlab(buf, buf, nil, true, ws)
 }
 
 // ContractSlabWS is the fused Fock-exchange contraction over grid slabs:
@@ -265,9 +324,9 @@ func (p *Plan3) ContractSlabWS(dst, phi, src, buf lanes.Slab, kernel []float64, 
 			}
 		}
 	}
-	p.yPassSlab(buf, false, ws)
+	p.yPassSlab(buf, nil, false, ws)
 	p.xPassKernelSlab(buf, kernel, ws)
-	p.yPassSlab(buf, true, ws)
+	p.yPassSlab(buf, nil, true, ws)
 	// Inverse z pass with dst += scale*phi*v fused into the scatter.
 	for r0 := 0; r0 < rows; r0 += lw {
 		L := min(lw, rows-r0)
@@ -335,9 +394,9 @@ func (p *Plan3) ContractPairSlabWS(accI, accJ, phiI, phiJ, buf lanes.Slab, kerne
 			}
 		}
 	}
-	p.yPassSlab(buf, false, ws)
+	p.yPassSlab(buf, nil, false, ws)
 	p.xPassKernelSlab(buf, kernel, ws)
-	p.yPassSlab(buf, true, ws)
+	p.yPassSlab(buf, nil, true, ws)
 	for r0 := 0; r0 < rows; r0 += lw {
 		L := min(lw, rows-r0)
 		for l := 0; l < L; l++ {

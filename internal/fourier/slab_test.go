@@ -149,6 +149,64 @@ func TestContractSlabMatchesSerial(t *testing.T) {
 	}
 }
 
+// randomSupport draws a support of about half the rows of a grid, with
+// its planes, and zeroes src outside it.
+func randomSupport(rng *rand.Rand, nx, ny, nz int, src lanes.Slab) Support {
+	var sup Support
+	for row := 0; row < nx*ny; row++ {
+		if rng.Intn(2) == 0 {
+			for k := row * nz; k < (row+1)*nz; k++ {
+				src.Re[k], src.Im[k] = 0, 0
+			}
+			continue
+		}
+		sup.Rows = append(sup.Rows, row)
+		if ix := row / ny; len(sup.Planes) == 0 || sup.Planes[len(sup.Planes)-1] != ix {
+			sup.Planes = append(sup.Planes, ix)
+		}
+	}
+	return sup
+}
+
+// PrunedSlabWS skips pencils that are zero (inverse) or never read
+// (forward); on every grid of slabGrids, the Bluestein axis included, it
+// must equal RawSlabWS bit for bit where it is defined.
+func TestPrunedSlabMatchesRaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, dims := range slabGrids {
+		p := MustPlan3(dims[0], dims[1], dims[2])
+		n := p.Size()
+		ws := p.NewWorkspace()
+		src := lanes.New(n)
+		lanes.Pack(src, randGridRng(rng, n))
+		sup := randomSupport(rng, dims[0], dims[1], dims[2], src)
+		for _, inverse := range []bool{false, true} {
+			want, got := lanes.New(n), lanes.New(n)
+			p.RawSlabWS(want, src, inverse, ws)
+			copy(got.Re, src.Re)
+			copy(got.Im, src.Im)
+			p.PrunedSlabWS(got, inverse, sup, ws)
+			idx := make([]int, 0, n)
+			if inverse {
+				for i := 0; i < n; i++ {
+					idx = append(idx, i)
+				}
+			} else {
+				for _, row := range sup.Rows {
+					for k := row * dims[2]; k < (row+1)*dims[2]; k++ {
+						idx = append(idx, k)
+					}
+				}
+			}
+			for _, i := range idx {
+				if math.Float64bits(got.Re[i]) != math.Float64bits(want.Re[i]) || math.Float64bits(got.Im[i]) != math.Float64bits(want.Im[i]) {
+					t.Fatalf("grid %v inverse=%v: pruned differs from raw at %d", dims, inverse, i)
+				}
+			}
+		}
+	}
+}
+
 func TestSlabTransformAllocs(t *testing.T) {
 	for _, dims := range [][3]int{{8, 9, 10}, {4, 67, 3}} {
 		p := MustPlan3(dims[0], dims[1], dims[2])

@@ -133,7 +133,7 @@ func TestContractSerialMatchesManual(t *testing.T) {
 }
 
 // With caller-owned scratch every grid transform the engine offers - raw,
-// Poisson, one-sided and two-sided contraction - is allocation-free,
+// pruned, Poisson, one-sided and two-sided contraction - is allocation-free,
 // including the Bluestein fallback.
 func TestSerialTransformAllocs(t *testing.T) {
 	for _, dims := range [][3]int{{8, 9, 10}, {4, 67, 3}} {
@@ -150,6 +150,13 @@ func TestSerialTransformAllocs(t *testing.T) {
 		ws := p.NewWorkspace()
 		if a := testing.AllocsPerRun(10, func() { p.RawSlabWS(dst, buf, false, ws) }); a > 0 {
 			t.Errorf("dims %v: RawSlabWS allocates %v per run", dims, a)
+		}
+		sup := Support{Rows: []int{0, 1}, Planes: []int{0}}
+		if a := testing.AllocsPerRun(10, func() {
+			p.PrunedSlabWS(dst, true, sup, ws)
+			p.PrunedSlabWS(dst, false, sup, ws)
+		}); a > 0 {
+			t.Errorf("dims %v: PrunedSlabWS allocates %v per run", dims, a)
 		}
 		if a := testing.AllocsPerRun(10, func() { p.PoissonSlabWS(buf, kernel, ws) }); a > 0 {
 			t.Errorf("dims %v: PoissonSlabWS allocates %v per run", dims, a)

@@ -48,6 +48,11 @@ type Grid struct {
 	G2Dense []float64
 	// GVecDense holds the G vector for every dense-box point.
 	GVecDense [][3]float64
+
+	// sup and supD are the z rows and x planes of the wavefunction and
+	// dense boxes that hold sphere points: the only ones the sphere
+	// transforms run their z and y passes on.
+	sup, supD fourier.Support
 }
 
 // New builds the grids for the given cell and wavefunction cutoff (Ha).
@@ -113,6 +118,14 @@ func (g *Grid) buildSphere() {
 		2 * math.Pi / g.Cell.L[1],
 		2 * math.Pi / g.Cell.L[2],
 	}
+	// The support lists of both boxes share one allocation sized for every
+	// row and plane of the wave box: the Miller-index map into the dense
+	// box is one-to-one, so it has as many occupied rows and planes.
+	nr, np := g.N[0]*g.N[1], g.N[0]
+	buf := make([]int, 2*(nr+np))
+	g.sup = fourier.Support{Rows: buf[:0:nr], Planes: buf[nr : nr : nr+np]}
+	buf = buf[nr+np:]
+	g.supD = fourier.Support{Rows: buf[:0:nr], Planes: buf[nr : nr : nr+np]}
 	for ix := 0; ix < g.N[0]; ix++ {
 		mx := millerFromIndex(ix, g.N[0])
 		gx := float64(mx) * b[0]
@@ -134,6 +147,18 @@ func (g *Grid) buildSphere() {
 				g.GVec = append(g.GVec, [3]float64{gx, gy, gz})
 				g.G2 = append(g.G2, g2)
 				g.MillerIdx = append(g.MillerIdx, [3]int{mx, my, mz})
+				// List a row or plane the first time one of its points
+				// is met. ix and iy ascend, and the dense index of a
+				// Miller index increases with the wave index, so every
+				// list comes out ascending with no sort.
+				if n := len(g.sup.Rows); n == 0 || g.sup.Rows[n-1] != ix*g.N[1]+iy {
+					g.sup.Rows = append(g.sup.Rows, ix*g.N[1]+iy)
+					g.supD.Rows = append(g.supD.Rows, dx*g.ND[1]+dy)
+				}
+				if n := len(g.sup.Planes); n == 0 || g.sup.Planes[n-1] != ix {
+					g.sup.Planes = append(g.sup.Planes, ix)
+					g.supD.Planes = append(g.supD.Planes, dx)
+				}
 			}
 		}
 	}
@@ -181,7 +206,7 @@ func (g *Grid) ToRealSlabWS(box lanes.Slab, c []complex128, ws *fourier.Workspac
 	if box.Len() != g.NTot {
 		panic("grid: ToRealSlab buffer size mismatch")
 	}
-	g.synthesize(box, c, g.SphereIdx, g.Plan, ws)
+	g.synthesize(box, c, g.SphereIdx, g.sup, g.Plan, ws)
 }
 
 // ToRealDenseSlabWS is ToRealSlabWS onto the dense box (zero padding in G
@@ -191,13 +216,15 @@ func (g *Grid) ToRealDenseSlabWS(box lanes.Slab, c []complex128, ws *fourier.Wor
 	if box.Len() != g.NDTot {
 		panic("grid: ToRealDenseSlab buffer size mismatch")
 	}
-	g.synthesize(box, c, g.SphereIdxD, g.PlanD, ws)
+	g.synthesize(box, c, g.SphereIdxD, g.supD, g.PlanD, ws)
 }
 
 // synthesize scatters the sphere coefficients into box at idx and runs the
-// unnormalized exp(+iG.r) synthesis. The 1/sqrt(Omega) normalization is
-// folded into the scatter, so no full-box scaling pass is needed.
-func (g *Grid) synthesize(box lanes.Slab, c []complex128, idx []int, plan *fourier.Plan3, ws *fourier.Workspace3) {
+// unnormalized exp(+iG.r) synthesis, with the z and y passes only on the
+// rows and planes of sup (the rest of the box is zero). The 1/sqrt(Omega)
+// normalization is folded into the scatter, so no full-box scaling pass is
+// needed.
+func (g *Grid) synthesize(box lanes.Slab, c []complex128, idx []int, sup fourier.Support, plan *fourier.Plan3, ws *fourier.Workspace3) {
 	if len(c) != g.NG {
 		panic("grid: sphere coefficient length mismatch")
 	}
@@ -207,19 +234,20 @@ func (g *Grid) synthesize(box lanes.Slab, c []complex128, idx []int, plan *fouri
 		box.Re[k] = real(c[s]) * scale
 		box.Im[k] = imag(c[s]) * scale
 	}
-	plan.RawSlabWS(box, box, true, ws)
+	plan.PrunedSlabWS(box, true, sup, ws)
 }
 
 // FromRealSlabWS projects real-space values on the wavefunction box back
 // onto the sphere coefficients: c_G = (sqrt(Omega)/NTot) * FFT(psi)[G], the
-// exact inverse of ToRealSlabWS. The normalization is applied only on the
-// NG sphere entries during the gather. The box is consumed (transformed in
-// place).
+// exact inverse of ToRealSlabWS. The y and z passes run only on the planes
+// and rows that hold sphere points, and the normalization is applied only
+// on the NG sphere entries during the gather. The box is consumed (left
+// partly transformed).
 func (g *Grid) FromRealSlabWS(c []complex128, box lanes.Slab, ws *fourier.Workspace3) {
 	if box.Len() != g.NTot || len(c) != g.NG {
 		panic("grid: FromRealSlab buffer size mismatch")
 	}
-	g.Plan.RawSlabWS(box, box, false, ws)
+	g.Plan.PrunedSlabWS(box, false, g.sup, ws)
 	scale := math.Sqrt(g.Volume()) / float64(g.NTot)
 	for s, k := range g.SphereIdx {
 		c[s] = complex(box.Re[k]*scale, box.Im[k]*scale)

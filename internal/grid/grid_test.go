@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ptdft/internal/fourier"
 	"ptdft/internal/lanes"
 	"ptdft/internal/lattice"
 )
@@ -242,5 +243,105 @@ func TestNewRejectsBadCutoff(t *testing.T) {
 	}
 	if _, err := New(cell, -1); err == nil {
 		t.Error("expected error for negative cutoff")
+	}
+}
+
+// The sphere transforms run their z and y passes only on the rows and
+// planes that hold sphere points. Every lane of a pass is transformed on
+// its own and skipped rows are zero, so ToRealSlabWS, ToRealDenseSlabWS and
+// FromRealSlabWS must equal the unpruned path - scatter plus the full
+// RawSlabWS, full forward RawSlabWS plus gather - bit for bit, on the Si8
+// box and on a {1,1,2} box whose row counts are not multiples of
+// lanes.Width; and they must allocate nothing with caller-owned scratch.
+func TestSphereTransformsMatchUnpruned(t *testing.T) {
+	for _, cells := range [][3]int{{1, 1, 1}, {1, 1, 2}} {
+		g := MustNew(lattice.MustSiliconSupercell(cells[0], cells[1], cells[2]), 3)
+		rng := rand.New(rand.NewSource(int64(7 + cells[2])))
+		c := make([]complex128, g.NG)
+		for i := range c {
+			c[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		for _, b := range []struct {
+			name string
+			n    [3]int
+			idx  []int
+			sup  fourier.Support
+			plan *fourier.Plan3
+			synt func(lanes.Slab, []complex128, *fourier.Workspace3)
+		}{
+			{"wave", g.N, g.SphereIdx, g.sup, g.Plan, g.ToRealSlabWS},
+			{"dense", g.ND, g.SphereIdxD, g.supD, g.PlanD, g.ToRealDenseSlabWS},
+		} {
+			checkSupport(t, b.name, b.idx, b.n, b.sup)
+			if b.name == "dense" && len(b.sup.Rows) == b.n[0]*b.n[1] {
+				t.Errorf("cells %v: dense support lists every row; nothing is pruned", cells)
+			}
+			ws := b.plan.NewWorkspace()
+			got, want := lanes.New(b.plan.Size()), lanes.New(b.plan.Size())
+			b.synt(got, c, ws)
+			scale := 1 / math.Sqrt(g.Volume())
+			for s, k := range b.idx {
+				want.Re[k] = real(c[s]) * scale
+				want.Im[k] = imag(c[s]) * scale
+			}
+			b.plan.RawSlabWS(want, want, true, ws)
+			for i := range want.Re {
+				if !sameBits(got.Re[i], want.Re[i]) || !sameBits(got.Im[i], want.Im[i]) {
+					t.Fatalf("cells %v %s box: pruned synthesis differs at %d: %v%+vi vs %v%+vi",
+						cells, b.name, i, got.Re[i], got.Im[i], want.Re[i], want.Im[i])
+				}
+			}
+			if a := testing.AllocsPerRun(5, func() { b.synt(got, c, ws) }); a > 0 {
+				t.Errorf("cells %v %s box: synthesis allocates %v per run", cells, b.name, a)
+			}
+		}
+
+		ws := g.Plan.NewWorkspace()
+		box := lanes.New(g.NTot)
+		for i := range box.Re {
+			box.Re[i], box.Im[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		full := lanes.New(g.NTot)
+		g.Plan.RawSlabWS(full, box, false, ws)
+		scale := math.Sqrt(g.Volume()) / float64(g.NTot)
+		got := make([]complex128, g.NG)
+		g.FromRealSlabWS(got, box, ws)
+		for s, k := range g.SphereIdx {
+			if re, im := full.Re[k]*scale, full.Im[k]*scale; !sameBits(real(got[s]), re) || !sameBits(imag(got[s]), im) {
+				t.Fatalf("cells %v: pruned analysis differs at sphere entry %d: %v vs %v", cells, s, got[s], complex(re, im))
+			}
+		}
+		if a := testing.AllocsPerRun(5, func() { g.FromRealSlabWS(got, box, ws) }); a > 0 {
+			t.Errorf("cells %v: FromRealSlabWS allocates %v per run", cells, a)
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkSupport pins a support list against its definition: the ascending,
+// duplicate-free rows and planes that hold at least one point of idx.
+func checkSupport(t *testing.T, name string, idx []int, n [3]int, sup fourier.Support) {
+	t.Helper()
+	rows := map[int]bool{}
+	planes := map[int]bool{}
+	for _, k := range idx {
+		rows[k/n[2]] = true
+		planes[k/(n[1]*n[2])] = true
+	}
+	for what, l := range map[string][]int{"rows": sup.Rows, "planes": sup.Planes} {
+		want := rows
+		if what == "planes" {
+			want = planes
+		}
+		if len(l) != len(want) {
+			t.Errorf("%s box: %d support %s, want %d", name, len(l), what, len(want))
+		}
+		for i, v := range l {
+			if !want[v] || (i > 0 && l[i-1] >= v) {
+				t.Errorf("%s box: support %s %v not the ascending set of occupied %s", name, what, l, what)
+				break
+			}
+		}
 	}
 }

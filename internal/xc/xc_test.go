@@ -104,3 +104,50 @@ func TestHSE06Parameters(t *testing.T) {
 		t.Errorf("omega = %g, want 0.106", h.Omega)
 	}
 }
+
+// ldaPow is the math.Pow form of LDA that the cube-root form replaced,
+// kept as its oracle.
+func ldaPow(rho, exScale float64) (eps, v float64) {
+	if rho <= 1e-14 {
+		return 0, 0
+	}
+	cx := -0.75 * math.Pow(3/math.Pi, 1.0/3)
+	rho13 := math.Pow(rho, 1.0/3)
+	ex := cx * rho13 * exScale
+	vx := 4.0 / 3.0 * cx * rho13 * exScale
+	rs := math.Pow(3/(4*math.Pi*rho), 1.0/3)
+	var ec, vc float64
+	if rs < 1 {
+		const a, b, c, d = 0.0311, -0.048, 0.0020, -0.0116
+		ln := math.Log(rs)
+		ec = a*ln + b + c*rs*ln + d*rs
+		vc = a*ln + (b - a/3) + 2.0/3.0*c*rs*ln + (2*d-c)/3*rs
+	} else {
+		const gamma, beta1, beta2 = -0.1423, 1.0529, 0.3334
+		sq := math.Sqrt(rs)
+		den := 1 + beta1*sq + beta2*rs
+		ec = gamma / den
+		vc = ec * (1 + 7.0/6.0*beta1*sq + 4.0/3.0*beta2*rs) / den
+	}
+	return ex + ec, vx + vc
+}
+
+// On a log sweep of rho over 13 decades, both branches of PZ81 and the
+// hybrid's attenuated exchange, LDA matches the math.Pow form to 1e-14
+// relative.
+func TestLDAMatchesPowForm(t *testing.T) {
+	const tol = 1e-14
+	for _, exScale := range []float64{1, 0.75} {
+		for i := 0; i <= 1300; i++ {
+			rho := math.Pow(10, -12+float64(i)/100)
+			eps, v := LDA(rho, exScale)
+			wantEps, wantV := ldaPow(rho, exScale)
+			if d := math.Abs(eps-wantEps) / math.Abs(wantEps); d > tol {
+				t.Errorf("rho=%g exScale=%g: eps %.17g vs %.17g (rel %.2g)", rho, exScale, eps, wantEps, d)
+			}
+			if d := math.Abs(v-wantV) / math.Abs(wantV); d > tol {
+				t.Errorf("rho=%g exScale=%g: v %.17g vs %.17g (rel %.2g)", rho, exScale, v, wantV, d)
+			}
+		}
+	}
+}
