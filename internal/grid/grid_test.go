@@ -329,17 +329,17 @@ func checkSupport(t *testing.T, name string, idx []int, n [3]int, sup fourier.Su
 		rows[k/n[2]] = true
 		planes[k/(n[1]*n[2])] = true
 	}
-	for what, l := range map[string][]int{"rows": sup.Rows, "planes": sup.Planes} {
-		want := rows
-		if what == "planes" {
-			want = planes
+	for _, c := range []struct {
+		what string
+		got  []int
+		want map[int]bool
+	}{{"rows", sup.Rows, rows}, {"planes", sup.Planes, planes}} {
+		if len(c.got) != len(c.want) {
+			t.Errorf("%s box: %d support %s, want %d", name, len(c.got), c.what, len(c.want))
 		}
-		if len(l) != len(want) {
-			t.Errorf("%s box: %d support %s, want %d", name, len(l), what, len(want))
-		}
-		for i, v := range l {
-			if !want[v] || (i > 0 && l[i-1] >= v) {
-				t.Errorf("%s box: support %s %v not the ascending set of occupied %s", name, what, l, what)
+		for i, v := range c.got {
+			if !c.want[v] || (i > 0 && c.got[i-1] >= v) {
+				t.Errorf("%s box: support %s %v not the ascending set of occupied %s", name, c.what, c.got, c.what)
 				break
 			}
 		}
